@@ -21,8 +21,7 @@ def run_once(seed: int, editors: int, events: int, drop: float, duplicate: float
         session.submit(rng.choice(names), event)
         if index % 10 == 9:
             session.flush()
-    while any(channel.in_flight for channel in session.channels.values()):
-        session.drain()
+    session.settle()
     report = session.report()
     digest = next(iter(report.digests.values()))
     print(f"seed {seed:3d}: converged={report.converged} digest={digest}")

@@ -227,10 +227,10 @@ class Editor:
         self.active_commands[key] = event
         return event
 
-    def _shared(self, type_tag: str) -> bool:
-        if not self.sync_filter or type_tag == "RemoveCommand":
-            return True
-        return type_tag in self.sync_filter
+    def _shared(self, type_tag: str, sync_filter: frozenset[str] | None = None) -> bool:
+        if sync_filter is None:
+            sync_filter = self.sync_filter
+        return not sync_filter or type_tag == "RemoveCommand" or type_tag in sync_filter
 
     def load_events(self, text: str) -> int:
         """Decode and execute events in textual order (order is immaterial
@@ -291,11 +291,7 @@ class Editor:
     def active_events(self, sync_filter: frozenset[str] | None = None) -> list[Event]:
         """Active commands in deterministic (id, type) order, restricted to
         the given filter (default: this editor's own)."""
-        if sync_filter is None:
-            shared = self._shared
-        else:
-            shared = lambda tag: not sync_filter or tag == "RemoveCommand" or tag in sync_filter
-        events = [e for e in self.active_commands.values() if shared(e.type_tag)]
+        events = [e for e in self.active_commands.values() if self._shared(e.type_tag, sync_filter)]
         events.sort(key=lambda e: (e.id, e.type_tag))
         return events
 

@@ -164,36 +164,24 @@ def overwrites(
 ) -> bool:
     """Decide whether ``new_event`` replaces ``old_event`` in the store.
 
-    Both events must share an id.  Equal timestamps fall back to comparing
-    the serialized events, so a duplicate delivery (identical bytes) returns
-    False in both directions.
+    Both events must share an id.  Every strategy is one ordering: the
+    higher vTag first (highest-version-wins only), then the later time (the
+    earlier one under first-edit-wins), then the larger serialized event.  So
+    a duplicate delivery (identical bytes) returns False in both directions.
     """
     if new_event.id != old_event.id:
         raise ValueError(
             f"overwrites needs matching ids, got {new_event.id!r} vs {old_event.id!r}"
         )
     if strategy == OverwriteStrategy.HIGHEST_VERSION_WINS:
-        cmp = compare_versions(
+        rank = compare_versions(
             new_event.params.get("vTag", ""), old_event.params.get("vTag", "")
         )
-        if cmp != 0:
-            return cmp > 0
-        return _last_edit_wins(new_event, old_event)
-    if strategy == OverwriteStrategy.FIRST_EDIT_WINS:
-        if old_event.time < new_event.time:
-            return False
-        if old_event.time == new_event.time:
-            return encode([old_event]) < encode([new_event])
-        return True
-    return _last_edit_wins(new_event, old_event)
-
-
-def _last_edit_wins(new_event: Event, old_event: Event) -> bool:
-    if old_event.time > new_event.time:
-        return False
-    if old_event.time == new_event.time:
-        return encode([old_event]) < encode([new_event])
-    return True
+        if rank != 0:
+            return rank > 0
+    if new_event.time != old_event.time:
+        return (new_event.time > old_event.time) != (strategy == OverwriteStrategy.FIRST_EDIT_WINS)
+    return encode([old_event]) < encode([new_event])
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +275,18 @@ def decode(text: str) -> list[Event]:
     """
     events: list[Event] = []
     fields: dict[str, str] | None = None
+    block_line = 0
 
     def finish():
         if fields is None:
             return
         params = dict(fields)
         tag = params.pop("command")
-        events.append(
-            Event(tag, id=params.pop("id", ""), time=params.pop("time", ""), params=params)
-        )
+        try:
+            event = Event(tag, id=params.pop("id", ""), time=params.pop("time", ""), params=params)
+        except ValueError as exc:
+            raise DecodeError(block_line, str(exc)) from None
+        events.append(event)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\r")
@@ -307,6 +298,7 @@ def decode(text: str) -> list[Event]:
                 raise DecodeError(lineno, "block must start with 'command'")
             finish()
             fields = {"command": value}
+            block_line = lineno
         elif line.startswith("  ") and not line.startswith("   "):
             if fields is None:
                 raise DecodeError(lineno, "entry outside of an event block")

@@ -1,8 +1,8 @@
 """Reference metamodel B: Folder trees with DocFiles.
 
-The same HaveRoot/HaveSubUnit/HaveLeaf event types as the packages domain,
-interpreted for folders: a sub-folder additionally owns a describing DocFile
-named "<id>.Doc" (created by HaveSubUnit, removed again by HaveRoot).  The
+The packages domain's HaveRoot/HaveSubUnit/HaveLeaf handlers over a folder
+tree, plus one addition: a sub-folder owns a describing DocFile named
+"<id>.Doc" (created by HaveSubUnit, removed again by HaveRoot).  The
 local-only HaveContent command fills DocFile content; it lives in its own
 store scope because it shares the DocFile's id with HaveLeaf while editing a
 disjoint slice of it, and it is excluded from synchronization by default.
@@ -10,116 +10,56 @@ disjoint slice of it, and it is excluded from synchronization by default.
 
 from __future__ import annotations
 
+from . import javapackages
 from .editor import CommandError, CommandHandler, Domain, Editor
 from .events import Event
-from .objects import Association, AssociationSchema, ModelObject
+from .objects import ModelObject, ObjectRegistry
 
 DOC_SUFFIX = ".Doc"
 
-JAVA_DOC_SCHEMA = AssociationSchema(
-    [
-        Association("Folder", "pFolder", False, "Folder", "subFolders", True),
-        Association("DocFile", "folder", False, "Folder", "files", True),
-    ]
-)
+FOLDERS = javapackages.Tree("Folder", "pFolder", "subFolders", "DocFile", "folder", "files", "version")
+
+JAVA_DOC_SCHEMA = FOLDERS.schema()
 
 
-def _parent(event: Event) -> str:
-    parent = event.params.get("parent")
-    if not parent:
-        raise CommandError(f"{event.type_tag} {event.id!r}: missing 'parent' param")
-    return parent
+def _drop_description(registry: ObjectRegistry, folder_id: str) -> None:
+    doc = registry.remove_model_object(folder_id + DOC_SUFFIX)
+    if doc is not None:
+        registry.set_link(doc, FOLDERS.leaf_up, None)
 
 
-class HaveRoot(CommandHandler):
-    type_tag = "HaveRoot"
-
+class HaveRoot(javapackages.HaveRoot):
     def run(self, editor: Editor, event: Event) -> str | None:
-        registry = editor.registry
-        folder = registry.get_or_create("Folder", event.id)
-        registry.set_link(folder, "pFolder", None)
-        doc_id = event.id + DOC_SUFFIX
-        if doc_id in folder.to_many.get("files", ()):
+        folder_id = super().run(editor, event)
+        files = editor.registry.model_objects[folder_id].to_many.get(FOLDERS.leaves, ())
+        if folder_id + DOC_SUFFIX in files:
             # A root folder is not described by a DocFile; a previous
             # HaveSubUnit may have left one behind.
-            doc = registry.remove_model_object(doc_id)
-            if doc is not None:
-                registry.unset_link(doc, "folder")
-        return folder.id
-
-    def remove(self, editor: Editor, event: Event) -> None:
-        editor.registry.remove_model_object(event.id)
-
-    def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "Folder":
-            return None
-        if obj.to_one.get("pFolder"):
-            return None
-        if not obj.to_many.get("subFolders") and not obj.to_many.get("files"):
-            return Event("RemoveCommand", id=obj.id)
-        return Event("HaveRoot", id=obj.id)
+            _drop_description(editor.registry, folder_id)
+        return folder_id
 
 
-class HaveSubUnit(CommandHandler):
-    type_tag = "HaveSubUnit"
-
+class HaveSubUnit(javapackages.HaveSubUnit):
     def run(self, editor: Editor, event: Event) -> str | None:
+        folder_id = super().run(editor, event)
         registry = editor.registry
-        folder = registry.get_or_create("Folder", event.id)
-        parent = registry.get_object_frame("Folder", _parent(event))
-        registry.set_link(folder, "pFolder", parent)
-        doc = registry.get_or_create("DocFile", event.id + DOC_SUFFIX)
-        registry.set_attribute(doc, "content", f"{event.id} docu")
-        registry.set_link(doc, "folder", folder)
-        return folder.id
+        doc = registry.get_or_create(FOLDERS.leaf, folder_id + DOC_SUFFIX)
+        registry.set_attribute(doc, "content", f"{folder_id} docu")
+        registry.set_link(doc, FOLDERS.leaf_up, folder_id)
+        return folder_id
 
     def remove(self, editor: Editor, event: Event) -> None:
-        registry = editor.registry
-        folder = registry.remove_model_object(event.id)
-        if folder is not None:
-            registry.set_link(folder, "pFolder", None)
-        doc = registry.remove_model_object(event.id + DOC_SUFFIX)
-        if doc is not None:
-            registry.set_link(doc, "folder", None)
+        super().remove(editor, event)
+        _drop_description(editor.registry, event.id)
 
+
+class HaveLeaf(javapackages.HaveLeaf):
     def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "Folder":
-            return None
-        parent = obj.to_one.get("pFolder")
-        if not parent:
-            return None
-        return Event("HaveSubUnit", id=obj.id, params={"parent": parent})
-
-
-class HaveLeaf(CommandHandler):
-    type_tag = "HaveLeaf"
-
-    def run(self, editor: Editor, event: Event) -> str | None:
-        registry = editor.registry
-        doc = registry.get_or_create("DocFile", event.id)
-        folder = registry.get_object_frame("Folder", _parent(event))
-        registry.set_link(doc, "folder", folder)
-        registry.set_attribute(doc, "version", event.params.get("vTag", ""))
-        return doc.id
-
-    def remove(self, editor: Editor, event: Event) -> None:
-        doc = editor.registry.remove_model_object(event.id)
-        if doc is not None:
-            editor.registry.set_link(doc, "folder", None)
-
-    def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "DocFile" or obj.id.endswith(DOC_SUFFIX):
+        if obj.id.endswith(DOC_SUFFIX):
             # Describing DocFiles belong to their folder's HaveSubUnit
             # increment and never parse on their own.
             return None
-        parent = obj.to_one.get("folder")
-        if not parent:
-            return Event("RemoveCommand", id=obj.id)
-        return Event(
-            "HaveLeaf",
-            id=obj.id,
-            params={"parent": parent, "vTag": obj.attributes.get("version", "")},
-        )
+        return super().parse(obj)
 
 
 class HaveContent(CommandHandler):
@@ -151,6 +91,6 @@ class HaveContent(CommandHandler):
 JAVA_DOC = Domain(
     name="javadoc",
     schema=JAVA_DOC_SCHEMA,
-    handlers=(HaveRoot(), HaveSubUnit(), HaveLeaf(), HaveContent()),
+    handlers=(HaveRoot(FOLDERS), HaveSubUnit(FOLDERS), HaveLeaf(FOLDERS), HaveContent()),
     sync_filter=frozenset({"HaveRoot", "HaveSubUnit", "HaveLeaf"}),
 )

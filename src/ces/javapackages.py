@@ -3,109 +3,138 @@
 Commands: HaveRoot detaches a package from any parent, HaveSubUnit hangs a
 package under a parent, HaveLeaf places a class in a package and stamps its
 vTag.  Each command's increment is the core object plus its upward link, so
-distinct-id commands never touch the same attribute or link.
+distinct-id commands never touch the same attribute or link.  The handlers
+take their type, link and attribute names from a :class:`Tree`, so the
+javadoc domain reuses them for its folders.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .editor import CommandError, CommandHandler, Domain, Editor
 from .events import Event
 from .objects import Association, AssociationSchema, ModelObject
 
-JAVA_PACKAGES_SCHEMA = AssociationSchema(
-    [
-        Association("JavaPackage", "pPack", False, "JavaPackage", "subPackages", True),
-        Association("JavaClass", "pack", False, "JavaPackage", "classes", True),
-    ]
-)
+
+@dataclass(frozen=True)
+class Tree:
+    """The names of a tree metamodel: containers hang under a container by
+    ``up`` (reverse ``down``), leaves under a container by ``leaf_up``
+    (reverse ``leaves``), and each leaf keeps the event's vTag in
+    ``leaf_attribute``."""
+
+    container: str
+    up: str
+    down: str
+    leaf: str
+    leaf_up: str
+    leaves: str
+    leaf_attribute: str
+
+    def schema(self) -> AssociationSchema:
+        return AssociationSchema(
+            [
+                Association(self.container, self.up, False, self.container, self.down, True),
+                Association(self.leaf, self.leaf_up, False, self.container, self.leaves, True),
+            ]
+        )
+
+
+PACKAGES = Tree("JavaPackage", "pPack", "subPackages", "JavaClass", "pack", "classes", "vTag")
+
+JAVA_PACKAGES_SCHEMA = PACKAGES.schema()
 
 
 def _parent(event: Event) -> str:
+    """The event's parent id; handlers read it before any mutation, so a
+    command without one fails with the model untouched."""
     parent = event.params.get("parent")
     if not parent:
         raise CommandError(f"{event.type_tag} {event.id!r}: missing 'parent' param")
     return parent
 
 
-class HaveRoot(CommandHandler):
+class TreeHandler(CommandHandler):
+    def __init__(self, tree: Tree):
+        self.tree = tree
+
+
+class HaveRoot(TreeHandler):
     type_tag = "HaveRoot"
 
     def run(self, editor: Editor, event: Event) -> str | None:
         registry = editor.registry
-        package = registry.get_or_create("JavaPackage", event.id)
-        registry.set_link(package, "pPack", None)
-        return package.id
-
-    def remove(self, editor: Editor, event: Event) -> None:
-        editor.registry.remove_model_object(event.id)
+        unit = registry.get_or_create(self.tree.container, event.id)
+        registry.set_link(unit, self.tree.up, None)
+        return unit.id
 
     def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "JavaPackage":
+        tree = self.tree
+        if obj.object_type != tree.container or obj.to_one.get(tree.up):
             return None
-        if obj.to_one.get("pPack"):
-            return None
-        if not obj.to_many.get("subPackages") and not obj.to_many.get("classes"):
+        if not obj.to_many.get(tree.down) and not obj.to_many.get(tree.leaves):
             # Isolated and empty: nothing references it, collect it.
             return Event("RemoveCommand", id=obj.id)
         return Event("HaveRoot", id=obj.id)
 
 
-class HaveSubUnit(CommandHandler):
+class HaveSubUnit(TreeHandler):
     type_tag = "HaveSubUnit"
 
     def run(self, editor: Editor, event: Event) -> str | None:
+        parent_id = _parent(event)
         registry = editor.registry
-        package = registry.get_or_create("JavaPackage", event.id)
-        parent = registry.get_object_frame("JavaPackage", _parent(event))
-        registry.set_link(package, "pPack", parent)
-        return package.id
+        unit = registry.get_or_create(self.tree.container, event.id)
+        parent = registry.get_object_frame(self.tree.container, parent_id)
+        registry.set_link(unit, self.tree.up, parent)
+        return unit.id
 
     def remove(self, editor: Editor, event: Event) -> None:
-        package = editor.registry.remove_model_object(event.id)
-        if package is not None:
-            editor.registry.set_link(package, "pPack", None)
+        unit = editor.registry.remove_model_object(event.id)
+        if unit is not None:
+            editor.registry.set_link(unit, self.tree.up, None)
 
     def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "JavaPackage":
+        if obj.object_type != self.tree.container or not obj.to_one.get(self.tree.up):
             return None
-        parent = obj.to_one.get("pPack")
-        if not parent:
-            return None
-        return Event("HaveSubUnit", id=obj.id, params={"parent": parent})
+        return Event("HaveSubUnit", id=obj.id, params={"parent": obj.to_one[self.tree.up]})
 
 
-class HaveLeaf(CommandHandler):
+class HaveLeaf(TreeHandler):
     type_tag = "HaveLeaf"
 
     def run(self, editor: Editor, event: Event) -> str | None:
+        parent_id = _parent(event)
         registry = editor.registry
-        leaf = registry.get_or_create("JavaClass", event.id)
-        package = registry.get_object_frame("JavaPackage", _parent(event))
-        registry.set_link(leaf, "pack", package)
-        registry.set_attribute(leaf, "vTag", event.params.get("vTag", ""))
+        tree = self.tree
+        leaf = registry.get_or_create(tree.leaf, event.id)
+        parent = registry.get_object_frame(tree.container, parent_id)
+        registry.set_link(leaf, tree.leaf_up, parent)
+        registry.set_attribute(leaf, tree.leaf_attribute, event.params.get("vTag", ""))
         return leaf.id
 
     def remove(self, editor: Editor, event: Event) -> None:
         leaf = editor.registry.remove_model_object(event.id)
         if leaf is not None:
-            editor.registry.set_link(leaf, "pack", None)
+            editor.registry.set_link(leaf, self.tree.leaf_up, None)
 
     def parse(self, obj: ModelObject) -> Event | None:
-        if obj.object_type != "JavaClass":
+        if obj.object_type != self.tree.leaf:
             return None
-        parent = obj.to_one.get("pack")
+        parent = obj.to_one.get(self.tree.leaf_up)
         if not parent:
-            # A class without a package is garbage, same as an empty root.
+            # A leaf without a container is garbage, same as an empty root.
             return Event("RemoveCommand", id=obj.id)
         return Event(
             "HaveLeaf",
             id=obj.id,
-            params={"parent": parent, "vTag": obj.attributes.get("vTag", "")},
+            params={"parent": parent, "vTag": obj.attributes.get(self.tree.leaf_attribute, "")},
         )
 
 
 JAVA_PACKAGES = Domain(
     name="javapackages",
     schema=JAVA_PACKAGES_SCHEMA,
-    handlers=(HaveRoot(), HaveSubUnit(), HaveLeaf()),
+    handlers=(HaveRoot(PACKAGES), HaveSubUnit(PACKAGES), HaveLeaf(PACKAGES)),
 )

@@ -192,6 +192,12 @@ class Session:
         for (source, target) in sorted(self.channels):
             self._deliver(source, target, self.channels[(source, target)].drain())
 
+    def settle(self) -> None:
+        """Drain once if anything is in flight.  Delivery never enqueues new
+        messages, so one drain empties every channel."""
+        if any(channel.in_flight for channel in self.channels.values()):
+            self.drain()
+
     def shared_filter(self) -> frozenset[str]:
         shared: set[str] | None = None
         for editor in self.editors.values():
@@ -332,6 +338,5 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
             raise ScriptError(f"line {lineno}: unknown directive {word!r}")
 
     live = ensure_session()
-    while any(channel.in_flight for channel in live.channels.values()):
-        live.drain()
+    live.settle()
     return live.report()

@@ -262,8 +262,7 @@ def test_criterion_8_fault_injection_convergence():
             session.submit(rng.choice(names), event)
             if index % 10 == 9:
                 session.flush()
-        while any(channel.in_flight for channel in session.channels.values()):
-            session.drain()
+        session.settle()
         report = session.report()
         assert report.converged, f"seed {seed}:\n{report.to_text()}"
         first, second, third = (session.editors[n] for n in names)

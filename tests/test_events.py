@@ -198,6 +198,10 @@ def test_decode_rejects_malformed_lines_with_line_number():
         decode("- command: HaveRoot\nnot a block\n")
     with pytest.raises(DecodeError, match="line 1"):
         decode('- command: "unterminated\n')
+    with pytest.raises(DecodeError, match="line 3: invalid event type tag"):
+        decode('- command: HaveRoot\n  id: x\n- command: "a b"\n  id: y\n')
+    with pytest.raises(DecodeError, match="line 1: invalid event type tag"):
+        decode("- command:\n  id: x\n")
 
 
 def test_reserved_param_keys_are_rejected_at_construction():

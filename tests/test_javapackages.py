@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ces import Editor, Event, JAVA_PACKAGES, ModelObject, model_equal
+from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, ModelObject, model_equal
 from ces.editor import CommandError
 from ces.events import equals_but_time
 from ces.oracles import random_command_sequence, replay
+from conftest import start_events
 
 T = [f"2020-01-01T15:00:0{i}.000Z" for i in range(10)]
 
@@ -67,6 +69,17 @@ def test_have_sub_unit_reparents(packages_editor):
 def test_have_sub_unit_requires_parent_param():
     with pytest.raises(CommandError, match="parent"):
         Editor(JAVA_PACKAGES).execute(Event("HaveSubUnit", id="fulib", time=T[0]))
+
+
+@pytest.mark.parametrize("tag", ["HaveSubUnit", "HaveLeaf"])
+@pytest.mark.parametrize("domain", [JAVA_PACKAGES, JAVA_DOC], ids=lambda d: d.name)
+def test_missing_parent_leaves_model_and_store_untouched(domain, tag):
+    editor = replay(start_events(), domain)
+    registry = editor.registry
+    before = copy.deepcopy((registry.model_objects, registry.frames, editor.active_commands))
+    with pytest.raises(CommandError, match="parent"):
+        editor.execute(Event(tag, id="C", time=T[5]))
+    assert (registry.model_objects, registry.frames, editor.active_commands) == before
 
 
 def test_have_leaf_sets_class_package_and_vtag(packages_editor):

@@ -126,6 +126,22 @@ def test_cross_metamodel_session_converges_on_the_shared_store():
     assert "HaveContent" not in session.editors["packages"].export_active()
 
 
+def test_settle_empties_every_channel_and_is_silent_when_idle():
+    session = Session(seed=4, drop=1.0, eventual=True)  # every message deferred
+    for name in ("alice", "bob", "carol"):
+        session.add_editor(name, JAVA_PACKAGES)
+    session.submit("alice", ALICE_EVENT)
+    session.submit("bob", BOB_EVENT)
+    session.flush()
+    assert any(channel.in_flight for channel in session.channels.values())
+    session.settle()
+    assert not any(channel.in_flight for channel in session.channels.values())
+    assert session.report().converged
+    trace = list(session.trace)
+    session.settle()
+    assert session.trace == trace
+
+
 def test_pure_loss_non_convergence_is_reported_not_thrown():
     session = Session(seed=2, drop=1.0, eventual=False)  # every message erased
     session.add_editor("alice", JAVA_PACKAGES)
