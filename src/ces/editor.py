@@ -13,6 +13,7 @@ import copy
 from dataclasses import dataclass, replace
 
 from .events import (
+    TIMESTAMP_RE,
     CesError,
     Clock,
     Event,
@@ -197,12 +198,16 @@ class Editor:
         for the same id wins under the overwrite strategy.
 
         Missing id and time are assigned here (auto ids follow the store
-        size: "obj0", "obj1", ...).  Returns the stored event when applied,
-        None when the event was ignored.
+        size: "obj0", "obj1", ...).  A supplied time not of the form
+        YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError` before
+        anything changes.  Returns the stored event when applied, None when
+        the event was ignored.
         """
         handler = self.handlers.get(event.type_tag)
         if handler is None:
             raise UnknownCommandError(f"no handler for command {event.type_tag!r}")
+        if event.time and not TIMESTAMP_RE.fullmatch(event.time):
+            raise CommandError(f"time {event.time!r} is not of the form YYYY-MM-DDTHH:MM:SS.mmmZ")
         event_id = event.id
         if not event_id:
             derived = handler.derive_id(event)

@@ -80,6 +80,9 @@ def equals_but_time(a: Event, b: Event) -> bool:
 # ISO-8601 UTC with millisecond precision; lexicographic order on the string
 # equals chronological order, which lets overwrite decisions compare strings.
 _TIME_PARSE = "%Y-%m-%dT%H:%M:%S.%fZ"
+# The canonical form.  A string of another form can sort after every real
+# stamp (e.g. "zzz") and so win every last-edit-wins conflict.
+TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 
 
 def format_timestamp(moment: datetime) -> str:
@@ -166,13 +169,16 @@ def overwrites(
 
     Both events must share an id.  Every strategy is one ordering: the
     higher vTag first (highest-version-wins only), then the later time (the
-    earlier one under first-edit-wins), then the larger serialized event.  So
-    a duplicate delivery (identical bytes) returns False in both directions.
+    earlier one under first-edit-wins), then the larger serialized event.  A
+    duplicate delivery (``new_event == old_event``, so identical bytes) is
+    answered False by an equality check before any of that, without encoding.
     """
     if new_event.id != old_event.id:
         raise ValueError(
             f"overwrites needs matching ids, got {new_event.id!r} vs {old_event.id!r}"
         )
+    if new_event == old_event:
+        return False
     if strategy == OverwriteStrategy.HIGHEST_VERSION_WINS:
         rank = compare_versions(
             new_event.params.get("vTag", ""), old_event.params.get("vTag", "")
@@ -200,24 +206,24 @@ def overwrites(
 # so identical events always produce byte-identical text.
 
 
+# A value is written bare unless it is empty or holds whitespace (``\s`` is
+# the same predicate as ``str.isspace``), a quote, a backslash or a C0 control.
+_NEEDS_QUOTES = re.compile(r'[\s"\\\x00-\x1f]')
+_ESCAPED = re.compile(r'[\\"\n\r\t]')
+_UNSUPPORTED = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
+
+
 def _plain(value: str) -> bool:
-    if not value:
-        return False
-    return not any(c.isspace() or c in '"\\' or ord(c) < 0x20 for c in value)
+    return bool(value) and _NEEDS_QUOTES.search(value) is None
 
 
 def _scalar(value: str) -> str:
     if _plain(value):
         return value
-    out = []
-    for c in value:
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif ord(c) < 0x20:
-            raise EncodeError(f"unsupported control character {c!r} in value")
-        else:
-            out.append(c)
-    return '"' + "".join(out) + '"'
+    bad = _UNSUPPORTED.search(value)
+    if bad is not None:
+        raise EncodeError(f"unsupported control character {bad.group()!r} in value")
+    return '"' + _ESCAPED.sub(lambda m: _ESCAPES[m.group()], value) + '"'
 
 
 def encode(events: Iterable[Event]) -> str:
@@ -257,56 +263,55 @@ def _parse_value(raw: str, line: int) -> str:
     raise DecodeError(line, "unterminated quoted value")
 
 
-def _parse_entry(text: str, line: int) -> tuple[str, str]:
-    key, sep, rest = text.partition(":")
-    if not sep or not _KEY_RE.fullmatch(key):
-        raise DecodeError(line, f"expected 'key: value', got {text!r}")
-    if rest.startswith(" "):
-        rest = rest[1:]
-    return key, _parse_value(rest, line)
+# One entry line: "- " opens a block, "  " continues it; then key, value.
+_ENTRY_RE = re.compile(rf"(- |  )({_KEY_RE.pattern}): ?(.*)")
+
+
+def _finish(fields: dict[str, str], line: int) -> Event:
+    tag = fields.pop("command")
+    try:
+        return Event(tag, id=fields.pop("id", ""), time=fields.pop("time", ""), params=fields)
+    except ValueError as exc:
+        raise DecodeError(line, str(exc)) from None
 
 
 def decode(text: str) -> list[Event]:
     """Parse text produced by :func:`encode` (or hand-written in its format).
 
-    Unknown keys become params; unknown type tags are preserved, dispatch
-    happens in the editor.  Malformed lines and duplicate keys raise
-    :class:`DecodeError` naming the offending line.
+    Lines end at ``"\\n"``; a trailing ``"\\r"`` is dropped, so CRLF text
+    decodes too.  Unknown keys become params; unknown type tags are
+    preserved, dispatch happens in the editor.  Malformed lines and
+    duplicate keys raise :class:`DecodeError` naming the offending line.
     """
     events: list[Event] = []
     fields: dict[str, str] | None = None
     block_line = 0
-
-    def finish():
-        if fields is None:
-            return
-        params = dict(fields)
-        tag = params.pop("command")
-        try:
-            event = Event(tag, id=params.pop("id", ""), time=params.pop("time", ""), params=params)
-        except ValueError as exc:
-            raise DecodeError(block_line, str(exc)) from None
-        events.append(event)
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.endswith("\r"):
+            line = line.rstrip("\r")
+        match = _ENTRY_RE.fullmatch(line)
+        if match is None and not line.strip():
             continue
-        if line.startswith("- "):
-            key, value = _parse_entry(line[2:], lineno)
+        if fields is None and line.startswith("  ") and not line.startswith("   "):
+            raise DecodeError(lineno, "entry outside of an event block")
+        if match is None:
+            if line.startswith(("- ", "  ")) and not line.startswith("   "):
+                raise DecodeError(lineno, f"expected 'key: value', got {line[2:]!r}")
+            raise DecodeError(lineno, f"unrecognized line {line!r}")
+        prefix, key, value = match.groups()
+        if value.startswith('"'):
+            value = _parse_value(value, lineno)
+        if prefix == "- ":
             if key != "command":
                 raise DecodeError(lineno, "block must start with 'command'")
-            finish()
+            if fields is not None:
+                events.append(_finish(fields, block_line))
             fields = {"command": value}
             block_line = lineno
-        elif line.startswith("  ") and not line.startswith("   "):
-            if fields is None:
-                raise DecodeError(lineno, "entry outside of an event block")
-            key, value = _parse_entry(line[2:], lineno)
-            if key in fields:
-                raise DecodeError(lineno, f"duplicate key {key!r} in event block")
-            fields[key] = value
+        elif key in fields:
+            raise DecodeError(lineno, f"duplicate key {key!r} in event block")
         else:
-            raise DecodeError(lineno, f"unrecognized line {line!r}")
-    finish()
+            fields[key] = value
+    if fields is not None:
+        events.append(_finish(fields, block_line))
     return events

@@ -184,7 +184,11 @@ def test_usage_errors_exit_two(capsys, start_file):
 
 def test_format_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.ces"
-    for text in ("not an event file\n", '- command: "a b"\n  id: x\n'):
+    for text in (
+        "not an event file\n",
+        '- command: "a b"\n  id: x\n',
+        "- command: HaveRoot\n  id: org\n  time: zzz\n",
+    ):
         bad.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(bad))
         assert code == 2

@@ -15,9 +15,10 @@ from ces import (
     decode,
     model_equal,
 )
-from ces.editor import CommandHandler, Domain, IdCollisionError
+from ces import events as events_module
+from ces.editor import CommandError, CommandHandler, Domain, IdCollisionError
 from ces.events import DecodeError, OverwriteStrategy
-from ces.objects import Association, AssociationSchema
+from ces.objects import Association, AssociationSchema, dump_model
 
 T = [f"2020-01-01T14:00:0{i}.000Z" for i in range(10)]
 
@@ -138,6 +139,33 @@ def test_load_collects_per_event_errors_and_continues():
     assert err.value.applied == 1
     assert "fulib" in err.value.failures[0]
     assert "org" in editor.registry.model_objects
+
+
+def test_load_of_a_stored_events_own_text_encodes_nothing(monkeypatch, packages_editor):
+    text = packages_editor.export_active()
+
+    def refuse(events):
+        raise AssertionError("encode called while loading duplicates")
+
+    monkeypatch.setattr(events_module, "encode", refuse)
+    assert packages_editor.load_events(text) == 0
+
+
+def test_malformed_time_is_rejected_before_anything_changes(packages_editor):
+    store = dict(packages_editor.active_commands)
+    dump = dump_model(packages_editor.registry)
+    poison = "- command: HaveLeaf\n  id: Editor\n  time: zzz\n  parent: serv\n  vTag: 9.9\n"
+    with pytest.raises(LoadError) as err:
+        packages_editor.load_events(poison)
+    assert err.value.applied == 0
+    assert "'zzz'" in err.value.failures[0]
+    assert packages_editor.active_commands == store
+    assert dump_model(packages_editor.registry) == dump
+    for time in ("2020-01-01T13:03:00Z", "2020-01-01 13:03:00.000Z", "2020-01-01T13:03:00.000"):
+        with pytest.raises(CommandError):
+            packages_editor.execute(Event("HaveRoot", id="fresh", time=time))
+    assert "fresh" not in packages_editor.registry.frames
+    assert packages_editor.active_commands == store
 
 
 def test_load_propagates_decode_errors():

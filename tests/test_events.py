@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import re
+import sys
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ces import events as events_module
 from ces.events import (
     Clock,
     DecodeError,
+    EncodeError,
     Event,
     OverwriteStrategy,
     compare_versions,
@@ -118,6 +122,18 @@ def test_first_edit_wins_mirrors():
     assert overwrites(leaf(T1, "1.1"), leaf(T0, "1.0"), OverwriteStrategy.FIRST_EDIT_WINS) is False
 
 
+def test_equal_events_short_circuit_without_encoding(monkeypatch):
+    def refuse(events):
+        raise AssertionError("encode called for a duplicate")
+
+    monkeypatch.setattr(events_module, "encode", refuse)
+    event = leaf(T0, "1.0")
+    twin = Event(event.type_tag, id=event.id, time=event.time, params=dict(event.params))
+    for strategy in OverwriteStrategy:
+        assert overwrites(event, twin, strategy) is False
+        assert overwrites(twin, event, strategy) is False
+
+
 def test_mismatched_ids_are_rejected():
     with pytest.raises(ValueError):
         overwrites(Event("HaveRoot", id="a", time=T0), Event("HaveRoot", id="b", time=T0))
@@ -202,6 +218,8 @@ def test_decode_rejects_malformed_lines_with_line_number():
         decode('- command: HaveRoot\n  id: x\n- command: "a b"\n  id: y\n')
     with pytest.raises(DecodeError, match="line 1: invalid event type tag"):
         decode("- command:\n  id: x\n")
+    with pytest.raises(DecodeError, match="line 2: block must start with 'command'"):
+        decode('- command: "a b"\n- id: y\n')
 
 
 def test_reserved_param_keys_are_rejected_at_construction():
@@ -209,8 +227,18 @@ def test_reserved_param_keys_are_rejected_at_construction():
         Event("HaveRoot", id="x", params={"id": "y"})
 
 
+# C0 controls other than tab, newline and carriage return are the only
+# characters encode refuses.  The listed ones are drawn often: they need
+# quoting or escaping, and U+0085, U+2028 and U+2029 are line breaks to
+# str.splitlines but not to the codec.
+_C0_REFUSED = [chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"]
 _value = st.text(
-    alphabet=st.sampled_from(list("ab XY0.:\"\\-~\n\t")), min_size=0, max_size=12
+    alphabet=st.one_of(
+        st.sampled_from(list("ab XY0.:\"\\-~\n\t\r\x85\u2028\u2029\xa0\u3000")),
+        st.characters(exclude_characters=_C0_REFUSED),
+    ),
+    min_size=0,
+    max_size=12,
 )
 _events = st.builds(
     Event,
@@ -241,3 +269,223 @@ def test_serialization_is_deterministic_across_param_insertion_order(event):
     )
     assert encode([event]) == encode([reordered])
     assert event == reordered and hash(event) == hash(reordered)
+
+
+# -- differential checks against the previous codec ---------------------------------
+#
+# Frozen copies of the character-by-character codec that the regex-scanned one
+# replaced; they serve only as references here.
+
+_REF_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_REF_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_REF_KEY_RE = re.compile(r"[A-Za-z0-9_.~-]+")
+
+
+def _ref_plain(value):
+    if not value:
+        return False
+    return not any(c.isspace() or c in '"\\' or ord(c) < 0x20 for c in value)
+
+
+def _ref_scalar(value):
+    if _ref_plain(value):
+        return value
+    out = []
+    for c in value:
+        if c in _REF_ESCAPES:
+            out.append(_REF_ESCAPES[c])
+        elif ord(c) < 0x20:
+            raise EncodeError(f"unsupported control character {c!r} in value")
+        else:
+            out.append(c)
+    return '"' + "".join(out) + '"'
+
+
+def _ref_encode(events):
+    blocks = []
+    for event in events:
+        lines = [f"- command: {_ref_scalar(event.type_tag)}"]
+        if event.id:
+            lines.append(f"  id: {_ref_scalar(event.id)}")
+        if event.time:
+            lines.append(f"  time: {_ref_scalar(event.time)}")
+        for key in sorted(event.params):
+            lines.append(f"  {key}: {_ref_scalar(event.params[key])}")
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
+
+
+def _ref_parse_value(raw, line):
+    if not raw.startswith('"'):
+        return raw
+    out = []
+    i = 1
+    while i < len(raw):
+        c = raw[i]
+        if c == "\\":
+            if i + 1 >= len(raw) or raw[i + 1] not in _REF_UNESCAPES:
+                raise DecodeError(line, "bad escape sequence in quoted value")
+            out.append(_REF_UNESCAPES[raw[i + 1]])
+            i += 2
+        elif c == '"':
+            if raw[i + 1 :].strip():
+                raise DecodeError(line, "trailing content after closing quote")
+            return "".join(out)
+        else:
+            out.append(c)
+            i += 1
+    raise DecodeError(line, "unterminated quoted value")
+
+
+def _ref_parse_entry(text, line):
+    key, sep, rest = text.partition(":")
+    if not sep or not _REF_KEY_RE.fullmatch(key):
+        raise DecodeError(line, f"expected 'key: value', got {text!r}")
+    if rest.startswith(" "):
+        rest = rest[1:]
+    return key, _ref_parse_value(rest, line)
+
+
+def _ref_decode(text):
+    events = []
+    fields = None
+    block_line = 0
+
+    def finish():
+        if fields is None:
+            return
+        params = dict(fields)
+        tag = params.pop("command")
+        try:
+            event = Event(tag, id=params.pop("id", ""), time=params.pop("time", ""), params=params)
+        except ValueError as exc:
+            raise DecodeError(block_line, str(exc)) from None
+        events.append(event)
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        if line.startswith("- "):
+            key, value = _ref_parse_entry(line[2:], lineno)
+            if key != "command":
+                raise DecodeError(lineno, "block must start with 'command'")
+            finish()
+            fields = {"command": value}
+            block_line = lineno
+        elif line.startswith("  ") and not line.startswith("   "):
+            if fields is None:
+                raise DecodeError(lineno, "entry outside of an event block")
+            key, value = _ref_parse_entry(line[2:], lineno)
+            if key in fields:
+                raise DecodeError(lineno, f"duplicate key {key!r} in event block")
+            fields[key] = value
+        else:
+            raise DecodeError(lineno, f"unrecognized line {line!r}")
+    finish()
+    return events
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DecodeError, EncodeError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def test_plain_agrees_with_the_reference_on_every_code_point():
+    assert events_module._plain("") is _ref_plain("") is False
+    differing = [
+        cp for cp in range(sys.maxunicode + 1) if events_module._plain(chr(cp)) != _ref_plain(chr(cp))
+    ]
+    assert differing == []
+
+
+_any_value = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list('a "\\\n\r\t\x00\x0b\x1f\x85\u2028\xa0')), st.characters()
+    ),
+    max_size=10,
+)
+
+
+@given(st.lists(_events, max_size=4), _any_value)
+def test_encode_is_byte_identical_to_the_reference(events, value):
+    assert encode(events) == _ref_encode(events)
+    assert _outcome(events_module._scalar, value) == _outcome(_ref_scalar, value)
+
+
+# Lines the previous decoder split the same way: "\n" and CRLF breaks only,
+# none of the other separators str.splitlines honours (a lone "\r", "\v",
+# "\f", "\x1c"-"\x1e", U+0085, U+2028, U+2029).
+_soup_key = st.sampled_from(["command", "id", "time", "parent", "vTag", "a.b~c-d_9", "", "b c", "x\"", "é"])
+_soup_value = st.one_of(
+    st.sampled_from(
+        [
+            "",
+            "x",
+            "HaveRoot",
+            "a b",
+            T0,
+            '"quoted value"',
+            '"esc \\" \\\\ \\n \\r \\t"',
+            '"bad \\q escape"',
+            '"dangling \\',
+            '"unterminated',
+            '"closed" trailing',
+            '"closed"   ',
+            '""',
+            ' "lead"',
+            "va:lue",
+            "\u3000",
+        ]
+    ),
+    st.text(alphabet=st.sampled_from(list('ab :"\\\t nrq')), max_size=8),
+)
+_soup_any = st.builds(
+    lambda prefix, key, sep, value: prefix + key + sep + value,
+    st.sampled_from(["- ", "  ", "   ", "", "-", "-  ", "\t", " "]),
+    _soup_key,
+    st.sampled_from([": ", ":", ":  ", " ", "", " : "]),
+    _soup_value,
+)
+_soup_start = st.builds(
+    lambda key, value: f"- {key}: {value}",
+    st.sampled_from(["command", "id"]),
+    st.sampled_from(["HaveRoot", "X.y", '"HaveRoot"', '"a b"', "", '"unterminated']),
+)
+_soup_entry = st.builds(
+    lambda key, sep, value: "  " + key + sep + value,
+    st.sampled_from(["id", "time", "parent", "vTag", "a.b~c-d_9", "command"]),
+    st.sampled_from([": ", ":"]),
+    st.one_of(st.sampled_from(["x", "a b", T0, '"quoted value"', '"esc \\" \\n"']), _soup_value),
+)
+_soup_blank = st.sampled_from(["", " ", "\t", "\u3000", "   "])
+# Mostly well-formed blocks, so that errors also turn up deep in the text.
+_soup_block = st.builds(
+    lambda start, rest: [start] + rest,
+    st.one_of(_soup_start, _soup_start, _soup_any),
+    st.lists(st.one_of(_soup_entry, _soup_entry, _soup_blank, _soup_any), max_size=3),
+)
+_soup_ending = st.sampled_from(["\n", "\r\n"])
+
+
+@settings(max_examples=400)
+@given(st.lists(_soup_block, max_size=4), st.data())
+def test_decode_matches_the_reference_on_line_soup(blocks, data):
+    lines = [line for block in blocks for line in block]
+    endings = data.draw(st.lists(_soup_ending, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    if lines and data.draw(st.booleans()):
+        text = text[: -len(endings[-1])]  # no break after the last line
+    assert _outcome(decode, text) == _outcome(_ref_decode, text)
+
+
+@given(st.lists(_events, max_size=4), st.booleans())
+def test_decode_matches_the_reference_on_encoded_text(events, crlf):
+    text = encode(events)
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    if any(c in text for c in "\x85\u2028\u2029\x0b\x0c\x1c\x1d\x1e"):
+        return  # the reference splits these; see test_codec_round_trip_identities
+    assert _outcome(decode, text) == _outcome(_ref_decode, text)
