@@ -157,10 +157,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CesError as exc:
+    except (FileNotFoundError, CesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """The editor: command execution with overwrite resolution, the active
-command store, tombstoning removal, generic link commands, the incremental
-parse driver, and event import/export.
+command store, tombstoning removal, opt-in many-to-many link commands, the
+incremental parse driver, and event import/export.
 
 The store keeps at most one event per command id (per scope, see below);
 overwriting makes that sufficient to reconstruct the model.  Editors
@@ -61,7 +61,6 @@ class CommandHandler:
     # Store scope: commands in distinct scopes may share a core object id
     # while editing disjoint slices of it (e.g. doc content vs. doc leaf).
     store_scope: str = ""
-    strategy_override: OverwriteStrategy | None = None
 
     def run(self, editor: "Editor", event: Event) -> str | None:
         raise NotImplementedError
@@ -79,12 +78,18 @@ class CommandHandler:
 @dataclass(frozen=True)
 class Domain:
     """A metamodel: its association schema, its command handlers in parse
-    offering order, and the event types it shares by default."""
+    offering order, and the event types it shares by default.  A domain
+    with a many-to-many link lists HaveLinkHandler and DropLinkHandler."""
 
     name: str
     schema: AssociationSchema
     handlers: tuple[CommandHandler, ...]
     sync_filter: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        tags = [h.type_tag for h in self.handlers] + [RemoveCommandHandler.type_tag]
+        if len(set(tags)) < len(tags):
+            raise IdCollisionError(f"{self.name}: a command type tag repeats in {tags}")
 
 
 class RemoveCommandHandler(CommandHandler):
@@ -101,20 +106,17 @@ class RemoveCommandHandler(CommandHandler):
         return None
 
 
-def link_event_id(params) -> str | None:
-    source, target, link = params.get("source"), params.get("target"), params.get("link")
-    if source and target and link:
-        return f"{source}~{link}~{target}"
-    return None
-
-
 class _LinkCommandBase(CommandHandler):
+    # The registry method that applies the command to a many-to-many link.
+    mutation = ""
+
     def derive_id(self, event: Event) -> str | None:
         # Composite id: a later DropLink overwrites an earlier HaveLink for
         # the same pair, and vice versa.
-        return link_event_id(event.params)
+        source, target, link = (event.params.get(k) for k in ("source", "target", "link"))
+        return f"{source}~{link}~{target}" if source and target and link else None
 
-    def _ends(self, editor: "Editor", event: Event):
+    def run(self, editor: "Editor", event: Event) -> str | None:
         try:
             source_id = event.params["source"]
             target_id = event.params["target"]
@@ -124,30 +126,21 @@ class _LinkCommandBase(CommandHandler):
         end = editor.registry.schema.end(link)
         if not (end.many and end.other_many):
             raise CommandError(f"{self.type_tag}: link {link!r} is not many-to-many")
+        editor.registry.check_types((end.owner_type, source_id), (end.other_type, target_id))
         source = editor.registry.get_object_frame(end.owner_type, source_id)
         target = editor.registry.get_object_frame(end.other_type, target_id)
-        return source, target, link
+        getattr(editor.registry, self.mutation)(source, link, target)
+        return None
 
 
 class HaveLinkHandler(_LinkCommandBase):
     type_tag = "HaveLink"
-
-    def run(self, editor: "Editor", event: Event) -> str | None:
-        source, target, link = self._ends(editor, event)
-        editor.registry.add_to_many(source, link, target)
-        return None
+    mutation = "add_to_many"
 
 
 class DropLinkHandler(_LinkCommandBase):
     type_tag = "DropLink"
-
-    def run(self, editor: "Editor", event: Event) -> str | None:
-        source, target, link = self._ends(editor, event)
-        editor.registry.remove_from_many(source, link, target)
-        return None
-
-
-_BUILTIN_HANDLERS = (RemoveCommandHandler, HaveLinkHandler, DropLinkHandler)
+    mutation = "remove_from_many"
 
 
 class Editor:
@@ -173,25 +166,13 @@ class Editor:
         self.sync_filter = frozenset(
             domain.sync_filter if sync_filter is None else sync_filter
         )
-        self.handlers: dict[str, CommandHandler] = {}
-        for handler in domain.handlers:
-            self.register_handler(handler)
-        for factory in _BUILTIN_HANDLERS:
-            if factory.type_tag not in self.handlers:
-                self.register_handler(factory())
+        self.handlers: dict[str, CommandHandler] = {
+            h.type_tag: h for h in (*domain.handlers, RemoveCommandHandler())
+        }
         # (scope, id) -> the single surviving event for that increment
         self.active_commands: dict[tuple[str, str], Event] = {}
 
-    def register_handler(self, handler: CommandHandler) -> None:
-        if handler.type_tag in self.handlers:
-            raise IdCollisionError(f"handler for {handler.type_tag!r} already registered")
-        self.handlers[handler.type_tag] = handler
-
     # -- execution --------------------------------------------------------------
-
-    def _scope(self, type_tag: str) -> str:
-        handler = self.handlers.get(type_tag)
-        return handler.store_scope if handler is not None else ""
 
     def execute(self, event: Event) -> Event | None:
         """Run one event against the model, unless an already-stored event
@@ -208,26 +189,20 @@ class Editor:
             raise UnknownCommandError(f"no handler for command {event.type_tag!r}")
         if event.time and not TIMESTAMP_RE.fullmatch(event.time):
             raise CommandError(f"time {event.time!r} is not of the form YYYY-MM-DDTHH:MM:SS.mmmZ")
-        event_id = event.id
+        event_id = event.id or handler.derive_id(event)
         if not event_id:
-            derived = handler.derive_id(event)
-            if derived:
-                event_id = derived
-            else:
-                event_id = f"obj{len(self.active_commands)}"
-                if (handler.store_scope, event_id) in self.active_commands:
-                    raise IdCollisionError(
-                        f"auto id {event_id!r} collides with an existing command id"
-                    )
+            event_id = f"obj{len(self.active_commands)}"
+            if (handler.store_scope, event_id) in self.active_commands:
+                raise IdCollisionError(
+                    f"auto id {event_id!r} collides with an existing command id"
+                )
         time = event.time or self.clock.now()
         if event_id != event.id or time != event.time:
             event = replace(event, id=event_id, time=time)
         key = (handler.store_scope, event_id)
         old = self.active_commands.get(key)
-        if old is not None:
-            strategy = handler.strategy_override or self.strategy
-            if not overwrites(event, old, strategy):
-                return None
+        if old is not None and not overwrites(event, old, self.strategy):
+            return None
         handler.run(self, event)
         self.active_commands[key] = event
         return event
@@ -282,8 +257,8 @@ class Editor:
                         collected.append(found)
             changed = 0
             for event in collected:
-                key = (self._scope(event.type_tag), event.id)
-                old = self.active_commands.get(key)
+                scope = self.handlers[event.type_tag].store_scope
+                old = self.active_commands.get((scope, event.id))
                 if old is None or not equals_but_time(old, event):
                     if self.execute(event) is not None:
                         changed += 1
@@ -293,15 +268,12 @@ class Editor:
 
     # -- exchange ----------------------------------------------------------------
 
-    def active_events(self, sync_filter: frozenset[str] | None = None) -> list[Event]:
-        """Active commands in deterministic (id, type) order, restricted to
-        the given filter (default: this editor's own)."""
+    def export_active(self, sync_filter: frozenset[str] | None = None) -> str:
+        """Active commands restricted to the given filter (default: this
+        editor's own), encoded in deterministic (id, type) order."""
         events = [e for e in self.active_commands.values() if self._shared(e.type_tag, sync_filter)]
         events.sort(key=lambda e: (e.id, e.type_tag))
-        return events
-
-    def export_active(self, sync_filter: frozenset[str] | None = None) -> str:
-        return encode(self.active_events(sync_filter))
+        return encode(events)
 
     def get_active(self, id: str, scope: str = "") -> Event | None:
         return self.active_commands.get((scope, id))

@@ -80,15 +80,20 @@ def equals_but_time(a: Event, b: Event) -> bool:
 # ISO-8601 UTC with millisecond precision; lexicographic order on the string
 # equals chronological order, which lets overwrite decisions compare strings.
 _TIME_PARSE = "%Y-%m-%dT%H:%M:%S.%fZ"
-# The canonical form.  A string of another form can sort after every real
-# stamp (e.g. "zzz") and so win every last-edit-wins conflict.
-TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+# The canonical form, with month 01-12, day 01-31, hour 00-23 and minute and
+# second 00-59.  A string of another form can sort after every real stamp
+# (e.g. "zzz" or month 99) and so win every last-edit-wins conflict.
+TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
+    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3}Z"
+)
 
 
 def format_timestamp(moment: datetime) -> str:
     if moment.tzinfo is not None:
-        moment = moment.astimezone(timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%S.") + f"{moment.microsecond // 1000:03d}Z"
+        moment = moment.astimezone(timezone.utc).replace(tzinfo=None)
+    # isoformat pads the year to four digits; strftime's %Y does not below 1000.
+    return moment.isoformat(timespec="milliseconds") + "Z"
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -210,7 +215,9 @@ def overwrites(
 # the same predicate as ``str.isspace``), a quote, a backslash or a C0 control.
 _NEEDS_QUOTES = re.compile(r'[\s"\\\x00-\x1f]')
 _ESCAPED = re.compile(r'[\\"\n\r\t]')
-_UNSUPPORTED = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
+# The C0 controls other than tab, newline and carriage return: refused in values.
+_CONTROLS = r"\x00-\x08\x0b\x0c\x0e-\x1f"
+_UNSUPPORTED = re.compile(f"[{_CONTROLS}]")
 
 
 def _plain(value: str) -> bool:
@@ -242,8 +249,7 @@ def encode(events: Iterable[Event]) -> str:
 
 
 def _parse_value(raw: str, line: int) -> str:
-    if not raw.startswith('"'):
-        return raw
+    """Unquote and unescape a value that starts with a double quote."""
     out = []
     i = 1
     while i < len(raw):
@@ -264,7 +270,7 @@ def _parse_value(raw: str, line: int) -> str:
 
 
 # One entry line: "- " opens a block, "  " continues it; then key, value.
-_ENTRY_RE = re.compile(rf"(- |  )({_KEY_RE.pattern}): ?(.*)")
+_ENTRY_RE = re.compile(rf"(- |  )({_KEY_RE.pattern}): ?([^{_CONTROLS}]*)")
 
 
 def _finish(fields: dict[str, str], line: int) -> Event:
@@ -290,8 +296,12 @@ def decode(text: str) -> list[Event]:
         if line.endswith("\r"):
             line = line.rstrip("\r")
         match = _ENTRY_RE.fullmatch(line)
-        if match is None and not line.strip():
-            continue
+        if match is None:
+            bad = _UNSUPPORTED.search(line)
+            if bad is not None:
+                raise DecodeError(lineno, f"unsupported control character {bad.group()!r}")
+            if not line.strip():
+                continue
         if fields is None and line.startswith("  ") and not line.startswith("   "):
             raise DecodeError(lineno, "entry outside of an event block")
         if match is None:

@@ -48,6 +48,9 @@ class HaveSubUnit(javapackages.HaveSubUnit):
         registry.set_link(doc, FOLDERS.leaf_up, folder_id)
         return folder_id
 
+    def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
+        return (*super().typed_ids(id, parent_id), (FOLDERS.leaf, id + DOC_SUFFIX))
+
     def remove(self, editor: Editor, event: Event) -> None:
         super().remove(editor, event)
         _drop_description(editor.registry, event.id)

@@ -47,8 +47,8 @@ JAVA_PACKAGES_SCHEMA = PACKAGES.schema()
 
 
 def _parent(event: Event) -> str:
-    """The event's parent id; handlers read it before any mutation, so a
-    command without one fails with the model untouched."""
+    """The event's parent id; handlers read it and check types before any
+    mutation, so a command that fails leaves the model untouched."""
     parent = event.params.get("parent")
     if not parent:
         raise CommandError(f"{event.type_tag} {event.id!r}: missing 'parent' param")
@@ -85,10 +85,15 @@ class HaveSubUnit(TreeHandler):
     def run(self, editor: Editor, event: Event) -> str | None:
         parent_id = _parent(event)
         registry = editor.registry
+        registry.check_types(*self.typed_ids(event.id, parent_id))
         unit = registry.get_or_create(self.tree.container, event.id)
         parent = registry.get_object_frame(self.tree.container, parent_id)
         registry.set_link(unit, self.tree.up, parent)
         return unit.id
+
+    def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
+        """The (type, id) pairs ``run`` fetches or creates."""
+        return (self.tree.container, id), (self.tree.container, parent_id)
 
     def remove(self, editor: Editor, event: Event) -> None:
         unit = editor.registry.remove_model_object(event.id)
@@ -108,6 +113,7 @@ class HaveLeaf(TreeHandler):
         parent_id = _parent(event)
         registry = editor.registry
         tree = self.tree
+        registry.check_types((tree.leaf, event.id), (tree.container, parent_id))
         leaf = registry.get_or_create(tree.leaf, event.id)
         parent = registry.get_object_frame(tree.container, parent_id)
         registry.set_link(leaf, tree.leaf_up, parent)

@@ -46,7 +46,7 @@ class ModelObject:
 @dataclass(frozen=True)
 class Association:
     """One association: a forward end on the source type, a reverse end on
-    the target type, each either to-one or to-many."""
+    the target type, each either to-one or to-many, but not both to-one."""
 
     source_type: str
     forward: str
@@ -75,6 +75,8 @@ class AssociationSchema:
         self.associations = tuple(associations)
         self._ends: dict[str, LinkEnd] = {}
         for a in self.associations:
+            if not (a.forward_many or a.reverse_many):
+                raise SchemaError(f"association {a.forward!r} is one-to-one; not supported")
             for end in (
                 LinkEnd(a.source_type, a.forward, a.forward_many, a.target_type, a.reverse, a.reverse_many),
                 LinkEnd(a.target_type, a.reverse, a.reverse_many, a.source_type, a.forward, a.forward_many),
@@ -116,11 +118,7 @@ class ObjectRegistry:
     # -- lookup and lifecycle -------------------------------------------------
 
     def find(self, id: str) -> ModelObject | None:
-        for table in (self.parsed_objects, self.model_objects, self.frames):
-            obj = table.get(id)
-            if obj is not None:
-                return obj
-        return None
+        return self.parsed_objects.get(id) or self.model_objects.get(id) or self.frames.get(id)
 
     def _checked(self, obj: ModelObject, object_type: str) -> ModelObject:
         if obj.object_type != object_type:
@@ -149,19 +147,21 @@ class ObjectRegistry:
         frame or a parsed instance if one exists)."""
         if not id:
             raise UnknownObjectError("object id must be non-empty")
-        obj = self.parsed_objects.get(id)
-        if obj is not None:
-            self._checked(obj, object_type)
-            self.frames.pop(id, None)
-            self.model_objects[id] = obj
-            return obj
-        obj = self.model_objects.get(id)
-        if obj is not None:
-            return self._checked(obj, object_type)
-        obj = self.get_object_frame(object_type, id)
+        obj = self._checked(self.find(id) or ModelObject(object_type, id), object_type)
         self.frames.pop(id, None)
         self.model_objects[id] = obj
         return obj
+
+    def check_types(self, *wanted: tuple[str, str]) -> None:
+        """Raise :class:`TypeConflictError` unless every ``(type, id)`` pair,
+        two naming one id included, can be fetched as that type; mutates
+        nothing, so a command calls it before its first mutation."""
+        requested: dict[str, str] = {}
+        for object_type, id in wanted:
+            obj = self.find(id)
+            known = obj.object_type if obj is not None else requested.setdefault(id, object_type)
+            if known != object_type:
+                raise TypeConflictError(f"id {id!r} is a {known}, requested {object_type}")
 
     def remove_model_object(self, id: str) -> ModelObject | None:
         """Demote a model object to a frame; it may still serve as context.
@@ -215,15 +215,13 @@ class ObjectRegistry:
             target = found
         return self._checked(target, expected_type)
 
-    def _drop_reverse(self, holder: ModelObject, end: LinkEnd, id: str) -> None:
-        if end.other_many:
-            members = holder.to_many.get(end.other_name)
-            if members is not None:
-                members.discard(id)
-                if not members:
-                    del holder.to_many[end.other_name]
-        elif holder.to_one.get(end.other_name) == id:
-            del holder.to_one[end.other_name]
+    def _discard(self, holder: ModelObject, link: str, id: str) -> None:
+        """Drop ``id`` from a to-many link set; an emptied set goes too."""
+        members = holder.to_many.get(link)
+        if members is not None:
+            members.discard(id)
+            if not members:
+                del holder.to_many[link]
 
     def set_link(self, obj: ModelObject, link: str, target: ModelObject | str | None) -> None:
         """Point a to-one link at ``target`` (object, id, or None to clear),
@@ -240,21 +238,12 @@ class ObjectRegistry:
         if old_id is not None:
             old_obj = self.find(old_id)
             if old_obj is not None:
-                self._drop_reverse(old_obj, end, obj.id)
+                self._discard(old_obj, end.other_name, obj.id)
                 self._mark(old_obj)
             del obj.to_one[link]
         if target_obj is not None:
             obj.to_one[link] = target_obj.id
-            if end.other_many:
-                target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
-            else:
-                displaced_id = target_obj.to_one.get(end.other_name)
-                if displaced_id is not None and displaced_id != obj.id:
-                    displaced = self.find(displaced_id)
-                    if displaced is not None:
-                        displaced.to_one.pop(link, None)
-                        self._mark(displaced)
-                target_obj.to_one[end.other_name] = obj.id
+            target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
             self._mark(target_obj)
         self._mark(obj)
 
@@ -290,11 +279,8 @@ class ObjectRegistry:
             return
         if target_obj.id not in obj.to_many.get(link, ()):
             return
-        self._drop_reverse(target_obj, end, obj.id)
-        members = obj.to_many[link]
-        members.discard(target_obj.id)
-        if not members:
-            del obj.to_many[link]
+        self._discard(target_obj, end.other_name, obj.id)
+        self._discard(obj, link, target_obj.id)
         self._mark(obj)
         self._mark(target_obj)
 
@@ -410,22 +396,18 @@ def model_equal(a: ObjectRegistry, b: ObjectRegistry) -> bool:
     return not model_diff(a, b).differences
 
 
-def dump_model(registry: ObjectRegistry, include_frames: bool = False) -> str:
+def dump_model(registry: ObjectRegistry) -> str:
     """Deterministic one-line-per-object dump, used for golden-file tests.
 
     Format: ``TYPE id {attr=val,...} links{name->id,name->{ids}}`` with ids
     and link names ascending.
     """
     lines = []
-    tables = [registry.model_objects]
-    if include_frames:
-        tables.append(registry.frames)
-    for table, suffix in zip(tables, ("", " (frame)")):
-        for id in sorted(table):
-            obj = table[id]
-            attrs = ",".join(f"{k}={v}" for k, v in sorted(_attr_state(obj).items()))
-            links = ",".join(
-                f"{k}->{_render(v)}" for k, v in sorted(_link_state(obj).items())
-            )
-            lines.append(f"{obj.object_type} {id} {{{attrs}}} links{{{links}}}{suffix}")
+    for id in sorted(registry.model_objects):
+        obj = registry.model_objects[id]
+        attrs = ",".join(f"{k}={v}" for k, v in sorted(_attr_state(obj).items()))
+        links = ",".join(
+            f"{k}->{_render(v)}" for k, v in sorted(_link_state(obj).items())
+        )
+        lines.append(f"{obj.object_type} {id} {{{attrs}}} links{{{links}}}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -281,30 +281,29 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
 
     config = {"seed": seed}
     strategy = OverwriteStrategy.LAST_EDIT_WINS
-    started = False
+    # Created by the first submit or flush; configuration must come before.
     session: Session | None = None
     pending_editors: list[tuple[str, Domain]] = []
 
     def ensure_session() -> Session:
-        nonlocal session, started
+        nonlocal session
         if session is None:
             session = Session(strategy=strategy, **config)
             for name, domain in pending_editors:
                 session.add_editor(name, domain)
-        started = True
         return session
 
     for lineno, tokens in directives:
         word, args = tokens[0], tokens[1:]
         if word == "strategy":
-            if started or len(args) != 1:
+            if session is not None or len(args) != 1:
                 raise ScriptError(f"line {lineno}: strategy must appear once, before any submit")
             try:
                 strategy = OverwriteStrategy(args[0])
             except ValueError:
                 raise ScriptError(f"line {lineno}: unknown strategy {args[0]!r}") from None
         elif word == "channel":
-            if started:
+            if session is not None:
                 raise ScriptError(f"line {lineno}: channel config must precede submits")
             pairs = _parse_kv(args, lineno)
             for key in ("drop", "duplicate"):
@@ -316,7 +315,7 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
             if pairs:
                 raise ScriptError(f"line {lineno}: unknown channel options {sorted(pairs)}")
         elif word == "editor":
-            if started or len(args) != 2:
+            if session is not None or len(args) != 2:
                 raise ScriptError(f"line {lineno}: editor <name> <domain> must precede submits")
             name, domain_name = args
             if domain_name not in domains:

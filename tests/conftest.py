@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES
@@ -13,6 +15,13 @@ def start_events() -> list[Event]:
         Event("HaveSubUnit", id="serv", time="2020-01-01T13:02:00.000Z", params={"parent": "fulib"}),
         Event("HaveLeaf", id="Editor", time="2020-01-01T13:03:00.000Z", params={"parent": "serv", "vTag": "1.0"}),
     ]
+
+
+def snapshot(editor: Editor):
+    """Copies of the registry's three maps, its changed ids and the store."""
+    registry = editor.registry
+    maps = (registry.model_objects, registry.frames, registry.parsed_objects)
+    return copy.deepcopy((maps, registry.changed_ids, editor.active_commands))
 
 
 @pytest.fixture

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ces import decode, encode
 from ces.cli import main
 
 from conftest import start_events
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 DOC_GOLDEN = """\
 DocFile Editor {version=1.0} links{folder->serv}
@@ -188,11 +195,31 @@ def test_format_errors_exit_two(capsys, tmp_path):
         "not an event file\n",
         '- command: "a b"\n  id: x\n',
         "- command: HaveRoot\n  id: org\n  time: zzz\n",
+        "- command: HaveRoot\n  id: org\n  time: 2020-99-99T99:99:99.999Z\n",
+        "- command: HaveRoot\n  id: a\x01b\n",
     ):
         bad.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(bad))
         assert code == 2
         assert "error:" in err
+
+
+def test_python_m_ces_runs_the_cli(capsys, start_file, tmp_path):
+    def python_m_ces(*argv):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        command = [sys.executable, "-m", "ces", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env)
+
+    argv = ["replay", "--domain", "javapackages", "--in", start_file]
+    _, out, _ = run_cli(capsys, *argv)
+    done = python_m_ces(*argv)
+    assert (done.returncode, done.stdout) == (0, out)
+    bad = tmp_path / "bad.ces"
+    bad.write_text("not an event file\n", encoding="utf-8")
+    done = python_m_ces("replay", "--domain", "javapackages", "--in", str(bad))
+    assert done.returncode == 2
+    assert "error:" in done.stderr
 
 
 def test_missing_file_exits_two(capsys):

@@ -16,7 +16,14 @@ from ces import (
     model_equal,
 )
 from ces import events as events_module
-from ces.editor import CommandError, CommandHandler, Domain, IdCollisionError
+from ces.editor import (
+    CommandError,
+    CommandHandler,
+    Domain,
+    DropLinkHandler,
+    HaveLinkHandler,
+    IdCollisionError,
+)
 from ces.events import DecodeError, OverwriteStrategy
 from ces.objects import Association, AssociationSchema, dump_model
 
@@ -90,20 +97,22 @@ def test_failed_run_leaves_the_store_unchanged():
     assert editor.active_commands == {}
 
 
-def test_per_handler_strategy_override_beats_editor_strategy():
-    domain = Domain(
-        name=JAVA_PACKAGES.name,
-        schema=JAVA_PACKAGES.schema,
-        handlers=JAVA_PACKAGES.handlers,
-    )
-    editor = Editor(domain)
-    editor.handlers["HaveLeaf"].strategy_override = OverwriteStrategy.HIGHEST_VERSION_WINS
-    try:
-        editor.execute(Event("HaveLeaf", id="E", time=T[0], params={"parent": "p", "vTag": "2.0"}))
-        stale = Event("HaveLeaf", id="E", time=T[1], params={"parent": "p", "vTag": "1.9"})
-        assert editor.execute(stale) is None  # newer time, lower version
-    finally:
-        editor.handlers["HaveLeaf"].strategy_override = None
+def test_editor_strategy_decides_same_id_conflicts():
+    editor = Editor(JAVA_PACKAGES, strategy=OverwriteStrategy.HIGHEST_VERSION_WINS)
+    editor.execute(Event("HaveLeaf", id="E", time=T[0], params={"parent": "p", "vTag": "2.0"}))
+    stale = Event("HaveLeaf", id="E", time=T[1], params={"parent": "p", "vTag": "1.9"})
+    assert editor.execute(stale) is None  # newer time, lower version
+    assert editor.registry.model_objects["E"].attributes["vTag"] == "2.0"
+
+
+
+@pytest.mark.parametrize("tag", ["HaveRoot", "RemoveCommand"])
+def test_domain_refuses_a_repeated_type_tag(tag):
+    class Twice(CommandHandler):
+        type_tag = tag
+
+    with pytest.raises(IdCollisionError, match=tag):
+        Domain(name="twice", schema=JAVA_PACKAGES.schema, handlers=(*JAVA_PACKAGES.handlers, Twice()))
 
 
 # -- load/export ------------------------------------------------------------------
@@ -161,7 +170,20 @@ def test_malformed_time_is_rejected_before_anything_changes(packages_editor):
     assert "'zzz'" in err.value.failures[0]
     assert packages_editor.active_commands == store
     assert dump_model(packages_editor.registry) == dump
-    for time in ("2020-01-01T13:03:00Z", "2020-01-01 13:03:00.000Z", "2020-01-01T13:03:00.000"):
+    for time in (
+        "2020-01-01T13:03:00Z",
+        "2020-01-01 13:03:00.000Z",
+        "2020-01-01T13:03:00.000",
+        # the right form, a field out of range
+        "2020-99-99T99:99:99.999Z",
+        "2020-00-01T00:00:00.000Z",
+        "2020-13-01T00:00:00.000Z",
+        "2020-01-00T00:00:00.000Z",
+        "2020-01-32T00:00:00.000Z",
+        "2020-01-01T24:00:00.000Z",
+        "2020-01-01T00:60:00.000Z",
+        "2020-01-01T00:00:60.000Z",
+    ):
         with pytest.raises(CommandError):
             packages_editor.execute(Event("HaveRoot", id="fresh", time=time))
     assert "fresh" not in packages_editor.registry.frames
@@ -243,8 +265,13 @@ class HaveNode(CommandHandler):
 
 NODES = Domain(
     name="nodes",
-    schema=AssociationSchema([Association("Node", "uses", True, "Node", "usedBy", True)]),
-    handlers=(HaveNode(),),
+    schema=AssociationSchema(
+        [
+            Association("Node", "uses", True, "Node", "usedBy", True),
+            Association("Node", "owner", False, "Node", "owned", True),
+        ]
+    ),
+    handlers=(HaveNode(), HaveLinkHandler(), DropLinkHandler()),
 )
 
 
@@ -304,10 +331,27 @@ def test_drop_link_on_absent_link_stores_a_guard_event():
 
 
 def test_link_commands_reject_non_many_to_many_links():
-    editor = Editor(JAVA_PACKAGES)
+    editor = nodes_editor()
+    for link in ("owner", "owned"):
+        event = Event("HaveLink", time=T[2], params={"source": "a", "target": "b", "link": link})
+        with pytest.raises(CommandError, match="many-to-many"):
+            editor.execute(event)
     event = Event("HaveLink", time=T[0], params={"source": "fulib", "target": "org", "link": "pPack"})
-    with pytest.raises(Exception, match="many-to-many"):
-        editor.execute(event)
+    with pytest.raises(UnknownCommandError):
+        Editor(JAVA_PACKAGES).execute(event)
+
+
+def test_link_command_without_target_leaves_store_and_model_unchanged():
+    editor = nodes_editor()
+    store = dict(editor.active_commands)
+    dump = dump_model(editor.registry)
+    for tag in ("HaveLink", "DropLink"):
+        event = Event(tag, time=T[2], params={"source": "a", "link": "uses"})
+        with pytest.raises(CommandError, match="missing param 'target'"):
+            editor.execute(event)
+    assert editor.active_commands == store
+    assert dump_model(editor.registry) == dump
+    assert editor.registry.frames == {}
 
 
 # -- parse ------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ces import events as events_module
 from ces.events import (
+    TIMESTAMP_RE,
     Clock,
     DecodeError,
     EncodeError,
@@ -83,6 +84,12 @@ def test_timestamp_string_order_is_chronological_order(moments):
     assert (stamps == sorted(stamps)) == (moments == sorted(moments))
     for stamp in stamps:
         assert format_timestamp(parse_timestamp(stamp)) == stamp
+
+
+@given(st.datetimes())
+def test_every_formatted_timestamp_is_canonical(moment):
+    assert TIMESTAMP_RE.fullmatch(format_timestamp(moment))
+    assert TIMESTAMP_RE.fullmatch(format_timestamp(moment.replace(tzinfo=timezone.utc)))
 
 
 # -- overwrites ----------------------------------------------------------------
@@ -222,6 +229,19 @@ def test_decode_rejects_malformed_lines_with_line_number():
         decode('- command: "a b"\n- id: y\n')
 
 
+def test_decode_refuses_what_encode_refuses():
+    for c in map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20)]):
+        with pytest.raises(EncodeError):
+            encode([Event("HaveRoot", id=f"a{c}b")])
+        bare, quoted = f"  id: a{c}b\n", f'  id: "a{c}b"\n'
+        for text in ("- command: HaveRoot\n" + bare, "- command: HaveRoot\n" + quoted, f"{c}\n"):
+            with pytest.raises(DecodeError, match=f"line {text.count(chr(10))}: unsupported control"):
+                decode(text)
+    assert decode("- command: HaveRoot\n  id: a\tb\n  p: a\rb\n") == [
+        Event("HaveRoot", id="a\tb", params={"p": "a\rb"})
+    ]
+
+
 def test_reserved_param_keys_are_rejected_at_construction():
     with pytest.raises(ValueError):
         Event("HaveRoot", id="x", params={"id": "y"})
@@ -246,7 +266,11 @@ _events = st.builds(
     id=st.one_of(st.just(""), _value),
     time=st.sampled_from(["", T0, T1]),
     params=st.dictionaries(
-        st.from_regex(r"[a-z][A-Za-z0-9_.~-]{0,6}", fullmatch=True), _value, max_size=4
+        st.from_regex(r"[a-z][A-Za-z0-9_.~-]{0,6}", fullmatch=True).filter(
+            lambda key: key not in events_module.RESERVED_KEYS
+        ),
+        _value,
+        max_size=4,
     ),
 )
 

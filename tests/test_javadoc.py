@@ -3,11 +3,14 @@ from __future__ import annotations
 import copy
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, model_equal
 from ces.javadoc import DOC_SUFFIX
+from ces.objects import TypeConflictError
 from ces.oracles import random_command_sequence, replay
+from conftest import snapshot
 
 T = [f"2020-01-01T16:00:0{i}.000Z" for i in range(10)]
 
@@ -92,6 +95,26 @@ def test_sub_unit_remove_demotes_folder_and_doc_file(doc_editor):
     # sibling increments untouched
     assert "fulib.Doc" in registry.model_objects
     assert "Editor" in registry.model_objects
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        # a folder named like x's describing file already exists
+        [
+            Event("HaveRoot", id="x.Doc", time=T[0]),
+            Event("HaveSubUnit", id="x", time=T[1], params={"parent": "p"}),
+        ],
+        # x's parent is named like x's describing file
+        [Event("HaveSubUnit", id="x", time=T[1], params={"parent": "x.Doc"})],
+    ],
+)
+def test_type_conflict_leaves_model_and_store_untouched(events):
+    editor = run(events[:-1])
+    before = snapshot(editor)
+    with pytest.raises(TypeConflictError, match="'x.Doc' is a Folder, requested DocFile"):
+        editor.execute(events[-1])
+    assert snapshot(editor) == before
 
 
 def test_remove_handlers_tolerate_unknown_ids():

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, ModelObject, model_equal
 from ces.editor import CommandError
 from ces.events import equals_but_time
+from ces.objects import TypeConflictError
 from ces.oracles import random_command_sequence, replay
-from conftest import start_events
+from conftest import snapshot, start_events
 
 T = [f"2020-01-01T15:00:0{i}.000Z" for i in range(10)]
 
@@ -80,6 +81,28 @@ def test_missing_parent_leaves_model_and_store_untouched(domain, tag):
     with pytest.raises(CommandError, match="parent"):
         editor.execute(Event(tag, id="C", time=T[5]))
     assert (registry.model_objects, registry.frames, editor.active_commands) == before
+
+
+@pytest.mark.parametrize(
+    "tag, id, parent, conflict",
+    [
+        ("HaveLeaf", "X", "Y", "'Y' is a JavaClass, requested JavaPackage"),
+        ("HaveSubUnit", "X", "Y", "'Y' is a JavaClass, requested JavaPackage"),
+        ("HaveLeaf", "X", "X", "'X' is a JavaClass, requested JavaPackage"),
+        ("HaveLeaf", "p", "q", "'p' is a JavaPackage, requested JavaClass"),
+    ],
+)
+def test_type_conflict_leaves_model_and_store_untouched(tag, id, parent, conflict):
+    editor = run(
+        [
+            Event("HaveRoot", id="p", time=T[0]),
+            Event("HaveLeaf", id="Y", time=T[1], params={"parent": "p"}),
+        ]
+    )
+    before = snapshot(editor)
+    with pytest.raises(TypeConflictError, match=conflict):
+        editor.execute(Event(tag, id=id, time=T[2], params={"parent": parent}))
+    assert snapshot(editor) == before
 
 
 def test_have_leaf_sets_class_package_and_vtag(packages_editor):

@@ -177,6 +177,11 @@ def test_many_to_many_links():
     registry.remove_from_many(a, "uses", b)  # absent: no-op
 
 
+def test_schema_rejects_one_to_one_associations():
+    with pytest.raises(SchemaError, match="one-to-one"):
+        AssociationSchema([Association("A", "partner", False, "B", "partnerOf", False)])
+
+
 def test_schema_rejects_duplicate_link_names():
     with pytest.raises(SchemaError):
         AssociationSchema(
