@@ -8,17 +8,15 @@ commutative, session not converged), 2 usage or format error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import random
 import sys
 from pathlib import Path
 
-from .editor import Editor
 from .events import CesError, OverwriteStrategy, decode
 from .javadoc import JAVA_DOC
 from .javapackages import JAVA_PACKAGES
 from .objects import dump_model, model_diff
-from .oracles import check_commutative
+from .oracles import check_commutative, replay
 from .simulate import run_script
 
 DOMAINS = {d.name: d for d in (JAVA_PACKAGES, JAVA_DOC)}
@@ -34,18 +32,6 @@ def _parse_filter(raw: str | None) -> frozenset[str] | None:
     return frozenset(tag for tag in raw.split(",") if tag)
 
 
-def _replay_editor(domain_name: str, events, strategy: OverwriteStrategy) -> Editor:
-    # Local replay takes every event; filters only matter when syncing.
-    editor = Editor(DOMAINS[domain_name], strategy=strategy, sync_filter=frozenset())
-    for event in events:
-        editor.execute(event)
-    return editor
-
-
-def _digest(editor: Editor) -> str:
-    return hashlib.sha256(editor.export_active().encode("utf-8")).hexdigest()[:16]
-
-
 def cmd_replay(args) -> int:
     events = decode(_read(args.infile))
     if args.reverse:
@@ -53,28 +39,26 @@ def cmd_replay(args) -> int:
     elif args.permute is not None:
         events = list(events)
         random.Random(args.permute).shuffle(events)
-    editor = _replay_editor(args.domain, events, args.strategy)
+    editor = replay(events, DOMAINS[args.domain], strategy=args.strategy)
     print(dump_model(editor.registry), end="")
-    print(f"active-digest: {_digest(editor)}")
+    # Printed digests and written files cover every event type.
+    print(f"active-digest: {editor.digest(frozenset())}")
     return 0
 
 
 def cmd_sync(args) -> int:
-    source = _replay_editor(args.from_domain, decode(_read(args.infile)), args.strategy)
-    sync_filter = _parse_filter(args.filter)
-    if sync_filter is None:
-        sync_filter = DOMAINS[args.from_domain].sync_filter
-    exported = source.export_active(sync_filter)
-    target = _replay_editor(args.to_domain, decode(exported), args.strategy)
-    Path(args.outfile).write_text(target.export_active(), encoding="utf-8")
+    source = replay(decode(_read(args.infile)), DOMAINS[args.from_domain], strategy=args.strategy)
+    exported = source.export_active(_parse_filter(args.filter))
+    target = replay(decode(exported), DOMAINS[args.to_domain], strategy=args.strategy)
+    Path(args.outfile).write_text(target.export_active(frozenset()), encoding="utf-8")
     print(dump_model(target.registry), end="")
-    print(f"active-digest: {_digest(target)}")
+    print(f"active-digest: {target.digest(frozenset())}")
     return 0
 
 
 def cmd_diff(args) -> int:
-    left = _replay_editor(args.domain, decode(_read(args.a)), args.strategy)
-    right = _replay_editor(args.domain, decode(_read(args.b)), args.strategy)
+    left = replay(decode(_read(args.a)), DOMAINS[args.domain], strategy=args.strategy)
+    right = replay(decode(_read(args.b)), DOMAINS[args.domain], strategy=args.strategy)
     diff = model_diff(left.registry, right.registry)
     for line in diff.differences:
         print(line)

@@ -10,6 +10,7 @@ interact with each other only through the encoded event text.
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, replace
 
 from .events import (
@@ -62,7 +63,7 @@ class CommandHandler:
     # while editing disjoint slices of it (e.g. doc content vs. doc leaf).
     store_scope: str = ""
 
-    def run(self, editor: "Editor", event: Event) -> str | None:
+    def run(self, editor: "Editor", event: Event) -> None:
         raise NotImplementedError
 
     def remove(self, editor: "Editor", event: Event) -> None:
@@ -98,12 +99,11 @@ class RemoveCommandHandler(CommandHandler):
 
     type_tag = "RemoveCommand"
 
-    def run(self, editor: "Editor", event: Event) -> str | None:
+    def run(self, editor: "Editor", event: Event) -> None:
         editor.registry.remove_model_object(event.id)
         old = editor.active_commands.get(("", event.id))
         if old is not None and old.type_tag != self.type_tag:
             editor.handlers[old.type_tag].remove(editor, old)
-        return None
 
 
 class _LinkCommandBase(CommandHandler):
@@ -116,7 +116,7 @@ class _LinkCommandBase(CommandHandler):
         source, target, link = (event.params.get(k) for k in ("source", "target", "link"))
         return f"{source}~{link}~{target}" if source and target and link else None
 
-    def run(self, editor: "Editor", event: Event) -> str | None:
+    def run(self, editor: "Editor", event: Event) -> None:
         try:
             source_id = event.params["source"]
             target_id = event.params["target"]
@@ -130,7 +130,6 @@ class _LinkCommandBase(CommandHandler):
         source = editor.registry.get_object_frame(end.owner_type, source_id)
         target = editor.registry.get_object_frame(end.other_type, target_id)
         getattr(editor.registry, self.mutation)(source, link, target)
-        return None
 
 
 class HaveLinkHandler(_LinkCommandBase):
@@ -242,8 +241,10 @@ class Editor:
         Registers the objects so that re-executed commands reuse them, offers
         each object to every handler's parse, and executes each recovered
         event only when it differs from the stored one in some field other
-        than time; unchanged increments keep their original timestamps.
-        Returns the number of new or updated commands.
+        than time; unchanged increments keep their original timestamps.  A
+        recovered event the stored one outranks is ignored, and the stored
+        one runs again to put its increment back.  Returns the number of
+        new or updated commands.
         """
         objects = list(objects)
         for obj in objects:
@@ -262,6 +263,8 @@ class Editor:
                 if old is None or not equals_but_time(old, event):
                     if self.execute(event) is not None:
                         changed += 1
+                    else:
+                        self.handlers[old.type_tag].run(self, old)
             return changed
         finally:
             self.registry.parsed_objects.clear()
@@ -274,6 +277,10 @@ class Editor:
         events = [e for e in self.active_commands.values() if self._shared(e.type_tag, sync_filter)]
         events.sort(key=lambda e: (e.id, e.type_tag))
         return encode(events)
+
+    def digest(self, sync_filter: frozenset[str] | None = None) -> str:
+        """The first 16 hex digits of the SHA-256 of :meth:`export_active`."""
+        return hashlib.sha256(self.export_active(sync_filter).encode("utf-8")).hexdigest()[:16]
 
     def get_active(self, id: str, scope: str = "") -> Event | None:
         return self.active_commands.get((scope, id))

@@ -100,12 +100,25 @@ def parse_timestamp(value: str) -> datetime:
     return datetime.strptime(value, _TIME_PARSE).replace(tzinfo=timezone.utc)
 
 
+# The first stamp of deterministic clocks, and the last stamp there is.
+BASE_TIME = "2020-01-01T00:00:00.000Z"
+LAST_TIME = "9999-12-31T23:59:59.999Z"
+
+
+def shift_timestamp(stamp: str, ms: int) -> str:
+    """The stamp ``ms`` milliseconds after ``stamp``, held at :data:`LAST_TIME`."""
+    try:
+        return format_timestamp(parse_timestamp(stamp) + timedelta(milliseconds=ms))
+    except OverflowError:
+        return LAST_TIME
+
+
 class Clock:
     """Monotone timestamp source owned by a single editor.
 
     Caches the last value it returned; if the wall clock has not advanced
     past it, the next read is bumped by one millisecond so that no two
-    events from one editor ever carry the same stamp.
+    events from one editor carry the same stamp before :data:`LAST_TIME`.
     """
 
     def __init__(self, source: Callable[[], datetime] | None = None):
@@ -115,7 +128,7 @@ class Clock:
     def now(self) -> str:
         stamp = format_timestamp(self._source())
         if self._last is not None and stamp <= self._last:
-            stamp = format_timestamp(parse_timestamp(self._last) + timedelta(milliseconds=1))
+            stamp = shift_timestamp(self._last, 1)
         self._last = stamp
         return stamp
 
@@ -127,7 +140,10 @@ def stepping_clock(start: str, step_ms: int = 1000) -> Clock:
 
     def source() -> datetime:
         calls[0] += 1
-        return base + timedelta(milliseconds=step_ms * calls[0])
+        try:
+            return base + timedelta(milliseconds=step_ms * calls[0])
+        except OverflowError:
+            return datetime.max  # formats as LAST_TIME
 
     return Clock(source)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import javapackages
 from .editor import CommandError, CommandHandler, Domain, Editor
 from .events import Event
-from .objects import ModelObject, ObjectRegistry
+from .objects import ModelObject
 
 DOC_SUFFIX = ".Doc"
 
@@ -22,38 +22,30 @@ FOLDERS = javapackages.Tree("Folder", "pFolder", "subFolders", "DocFile", "folde
 JAVA_DOC_SCHEMA = FOLDERS.schema()
 
 
-def _drop_description(registry: ObjectRegistry, folder_id: str) -> None:
-    doc = registry.remove_model_object(folder_id + DOC_SUFFIX)
-    if doc is not None:
-        registry.set_link(doc, FOLDERS.leaf_up, None)
-
-
 class HaveRoot(javapackages.HaveRoot):
-    def run(self, editor: Editor, event: Event) -> str | None:
-        folder_id = super().run(editor, event)
-        files = editor.registry.model_objects[folder_id].to_many.get(FOLDERS.leaves, ())
-        if folder_id + DOC_SUFFIX in files:
+    def run(self, editor: Editor, event: Event) -> None:
+        super().run(editor, event)
+        files = editor.registry.model_objects[event.id].to_many.get(FOLDERS.leaves, ())
+        if event.id + DOC_SUFFIX in files:
             # A root folder is not described by a DocFile; a previous
             # HaveSubUnit may have left one behind.
-            _drop_description(editor.registry, folder_id)
-        return folder_id
+            javapackages.detach(editor.registry, event.id + DOC_SUFFIX, FOLDERS.leaf_up)
 
 
 class HaveSubUnit(javapackages.HaveSubUnit):
-    def run(self, editor: Editor, event: Event) -> str | None:
-        folder_id = super().run(editor, event)
+    def run(self, editor: Editor, event: Event) -> None:
+        super().run(editor, event)
         registry = editor.registry
-        doc = registry.get_or_create(FOLDERS.leaf, folder_id + DOC_SUFFIX)
-        registry.set_attribute(doc, "content", f"{folder_id} docu")
-        registry.set_link(doc, FOLDERS.leaf_up, folder_id)
-        return folder_id
+        doc = registry.get_or_create(FOLDERS.leaf, event.id + DOC_SUFFIX)
+        registry.set_attribute(doc, "content", f"{event.id} docu")
+        registry.set_link(doc, FOLDERS.leaf_up, event.id)
 
     def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
         return (*super().typed_ids(id, parent_id), (FOLDERS.leaf, id + DOC_SUFFIX))
 
     def remove(self, editor: Editor, event: Event) -> None:
         super().remove(editor, event)
-        _drop_description(editor.registry, event.id)
+        javapackages.detach(editor.registry, event.id + DOC_SUFFIX, FOLDERS.leaf_up)
 
 
 class HaveLeaf(javapackages.HaveLeaf):
@@ -73,14 +65,13 @@ class HaveContent(CommandHandler):
     type_tag = "HaveContent"
     store_scope = "content"
 
-    def run(self, editor: Editor, event: Event) -> str | None:
+    def run(self, editor: Editor, event: Event) -> None:
         if event.id.endswith(DOC_SUFFIX):
             # Describing files get their content from the folder's
             # HaveSubUnit; a second writer would break commutativity.
             raise CommandError(f"HaveContent may not target describing file {event.id!r}")
         doc = editor.registry.get_object_frame("DocFile", event.id)
         editor.registry.set_attribute(doc, "content", event.params.get("content", ""))
-        return doc.id
 
     def parse(self, obj: ModelObject) -> Event | None:
         if obj.object_type != "DocFile" or obj.id.endswith(DOC_SUFFIX):

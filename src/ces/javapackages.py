@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .editor import CommandError, CommandHandler, Domain, Editor
 from .events import Event
-from .objects import Association, AssociationSchema, ModelObject
+from .objects import Association, AssociationSchema, ModelObject, ObjectRegistry
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,13 @@ def _parent(event: Event) -> str:
     return parent
 
 
+def detach(registry: ObjectRegistry, id: str, up: str) -> None:
+    """Demote the object to a frame and clear its upward link ``up``."""
+    obj = registry.remove_model_object(id)
+    if obj is not None:
+        registry.set_link(obj, up, None)
+
+
 class TreeHandler(CommandHandler):
     def __init__(self, tree: Tree):
         self.tree = tree
@@ -63,11 +70,10 @@ class TreeHandler(CommandHandler):
 class HaveRoot(TreeHandler):
     type_tag = "HaveRoot"
 
-    def run(self, editor: Editor, event: Event) -> str | None:
+    def run(self, editor: Editor, event: Event) -> None:
         registry = editor.registry
         unit = registry.get_or_create(self.tree.container, event.id)
         registry.set_link(unit, self.tree.up, None)
-        return unit.id
 
     def parse(self, obj: ModelObject) -> Event | None:
         tree = self.tree
@@ -82,23 +88,20 @@ class HaveRoot(TreeHandler):
 class HaveSubUnit(TreeHandler):
     type_tag = "HaveSubUnit"
 
-    def run(self, editor: Editor, event: Event) -> str | None:
+    def run(self, editor: Editor, event: Event) -> None:
         parent_id = _parent(event)
         registry = editor.registry
         registry.check_types(*self.typed_ids(event.id, parent_id))
         unit = registry.get_or_create(self.tree.container, event.id)
         parent = registry.get_object_frame(self.tree.container, parent_id)
         registry.set_link(unit, self.tree.up, parent)
-        return unit.id
 
     def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
         """The (type, id) pairs ``run`` fetches or creates."""
         return (self.tree.container, id), (self.tree.container, parent_id)
 
     def remove(self, editor: Editor, event: Event) -> None:
-        unit = editor.registry.remove_model_object(event.id)
-        if unit is not None:
-            editor.registry.set_link(unit, self.tree.up, None)
+        detach(editor.registry, event.id, self.tree.up)
 
     def parse(self, obj: ModelObject) -> Event | None:
         if obj.object_type != self.tree.container or not obj.to_one.get(self.tree.up):
@@ -109,7 +112,7 @@ class HaveSubUnit(TreeHandler):
 class HaveLeaf(TreeHandler):
     type_tag = "HaveLeaf"
 
-    def run(self, editor: Editor, event: Event) -> str | None:
+    def run(self, editor: Editor, event: Event) -> None:
         parent_id = _parent(event)
         registry = editor.registry
         tree = self.tree
@@ -118,12 +121,9 @@ class HaveLeaf(TreeHandler):
         parent = registry.get_object_frame(tree.container, parent_id)
         registry.set_link(leaf, tree.leaf_up, parent)
         registry.set_attribute(leaf, tree.leaf_attribute, event.params.get("vTag", ""))
-        return leaf.id
 
     def remove(self, editor: Editor, event: Event) -> None:
-        leaf = editor.registry.remove_model_object(event.id)
-        if leaf is not None:
-            editor.registry.set_link(leaf, self.tree.leaf_up, None)
+        detach(editor.registry, event.id, self.tree.leaf_up)
 
     def parse(self, obj: ModelObject) -> Event | None:
         if obj.object_type != self.tree.leaf:

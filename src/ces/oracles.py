@@ -11,21 +11,19 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from datetime import timedelta
 
 from .editor import Domain, Editor
 from .events import (
+    BASE_TIME,
+    TIMESTAMP_RE,
     CesError,
     Event,
     OverwriteStrategy,
     encode,
-    format_timestamp,
-    parse_timestamp,
+    shift_timestamp,
     stepping_clock,
 )
 from .objects import dump_model, model_diff, model_equal
-
-DEFAULT_BASE_TIME = "2020-01-01T00:00:00.000Z"
 
 
 class ActiveSetError(CesError):
@@ -35,15 +33,17 @@ class ActiveSetError(CesError):
 def _clock_beyond(events):
     """Deterministic clock strictly ahead of every stamp in the sequence, so
     anything the editor mints later (e.g. during a parse pass) postdates the
-    replayed history, as a wall clock would."""
-    latest = DEFAULT_BASE_TIME
+    replayed history, as a wall clock would.  Malformed stamps are left for
+    ``execute`` to refuse."""
+    latest = BASE_TIME
     for event in events:
-        if event.time > latest:
+        if event.time > latest and TIMESTAMP_RE.fullmatch(event.time):
             latest = event.time
     try:
-        start = format_timestamp(parse_timestamp(latest) + timedelta(hours=1))
+        start = shift_timestamp(latest, 3_600_000)
     except ValueError:
-        start = "9999-01-01T00:00:00.000Z"
+        # A day past its month's end (2020-02-31): start the next month.
+        start = f"{latest[:5]}{int(latest[5:7]) + 1:02d}-01T00:00:00.000Z"
     return stepping_clock(start)
 
 
@@ -61,15 +61,13 @@ def replay(
     return editor
 
 
-def stamp_events(events, base_time: str = DEFAULT_BASE_TIME, step_ms: int = 1000) -> list[Event]:
-    """Fill in missing timestamps by position so a sequence can be permuted
-    without changing which event wins."""
-    base = parse_timestamp(base_time)
+def stamp_events(events, base_time: str = BASE_TIME) -> list[Event]:
+    """Fill in missing timestamps by position, one second apart, so a
+    sequence can be permuted without changing which event wins."""
     stamped = []
     for index, event in enumerate(events):
         if not event.time:
-            stamp = format_timestamp(base + timedelta(milliseconds=step_ms * index))
-            event = replace(event, time=stamp)
+            event = replace(event, time=shift_timestamp(base_time, 1000 * index))
         stamped.append(event)
     return stamped
 
@@ -254,8 +252,7 @@ def random_command_sequence(
     count: int,
     seed: int | random.Random,
     *,
-    base_time: str = DEFAULT_BASE_TIME,
-    remove_weight: float = 0.15,
+    base_time: str = BASE_TIME,
 ) -> list[Event]:
     """Random HaveRoot/HaveSubUnit/HaveLeaf/RemoveCommand events over a small
     id pool, pre-stamped with (mostly) increasing timestamps.
@@ -267,7 +264,7 @@ def random_command_sequence(
     events: list[Event] = []
     for _ in range(count):
         roll = rng.random()
-        if roll < remove_weight:
+        if roll < 0.15:
             event = Event("RemoveCommand", id=rng.choice(PACKAGE_IDS + CLASS_IDS))
         elif roll < 0.35:
             event = Event("HaveRoot", id=rng.choice(PACKAGE_IDS))

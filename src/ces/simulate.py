@@ -7,25 +7,21 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import shlex
 from dataclasses import dataclass, field
-from datetime import timedelta
 
 from .editor import Domain, Editor
 from .events import (
+    BASE_TIME,
     CesError,
     Event,
     OverwriteStrategy,
     encode,
-    format_timestamp,
-    parse_timestamp,
+    shift_timestamp,
     stepping_clock,
 )
 from .objects import dump_model, model_diff
-
-BASE_TIME = "2020-01-01T00:00:00.000Z"
 
 
 class ScriptError(CesError):
@@ -85,7 +81,6 @@ class Channel:
 @dataclass
 class ConvergenceReport:
     converged: bool
-    editor_names: list[str]
     digests: dict[str, str]
     model_dumps: dict[str, str]
     pair_diffs: dict[tuple[str, str], list[str]] = field(default_factory=dict)
@@ -93,14 +88,14 @@ class ConvergenceReport:
 
     def to_text(self) -> str:
         lines = [f"converged: {'yes' if self.converged else 'no'}"]
-        for name in self.editor_names:
-            lines.append(f"editor {name} digest={self.digests[name]}")
+        for name, digest in self.digests.items():
+            lines.append(f"editor {name} digest={digest}")
         for (a, b), diffs in sorted(self.pair_diffs.items()):
             lines.append(f"diff {a}/{b}: {'none' if not diffs else ''}")
             lines.extend(f"  {d}" for d in diffs)
-        for name in self.editor_names:
+        for name, dump in self.model_dumps.items():
             lines.append(f"model {name}:")
-            lines.extend(f"  {row}" for row in self.model_dumps[name].splitlines())
+            lines.extend(f"  {row}" for row in dump.splitlines())
         lines.append("trace:")
         lines.extend(f"  {row}" for row in self.trace)
         return "\n".join(lines) + "\n"
@@ -134,14 +129,12 @@ class Session:
         self.log: list[tuple[str, str]] = []
         self._flushes = 0
 
-    def add_editor(self, name: str, domain: Domain, *, sync_filter: frozenset[str] | None = None) -> Editor:
+    def add_editor(self, name: str, domain: Domain) -> Editor:
         if name in self.editors:
             raise ScriptError(f"editor {name!r} already exists")
-        index = len(self.editors)
         # Offset each editor's clock by its index: stamp streams never collide.
-        start = format_timestamp(parse_timestamp(BASE_TIME) + timedelta(milliseconds=index))
-        clock = stepping_clock(start, step_ms=1000)
-        editor = Editor(domain, strategy=self.strategy, clock=clock, sync_filter=sync_filter)
+        clock = stepping_clock(shift_timestamp(BASE_TIME, len(self.editors)))
+        editor = Editor(domain, strategy=self.strategy, clock=clock)
         for other in self.editors:
             for pair in ((name, other), (other, name)):
                 self.channels[pair] = Channel(
@@ -169,28 +162,27 @@ class Session:
             self.trace.append(f"submit {name}: local {applied.type_tag} {applied.id}")
         return applied
 
-    def _deliver(self, source: str, target: str, messages: list[str]) -> None:
-        editor = self.editors[target]
-        count = 0
-        for text in messages:
-            count += editor.load_events(text)
-            self.log.append((target, text))
-        self.trace.append(
-            f"flush {self._flushes} {source}->{target}: "
-            f"delivered {len(messages)} applied {count} "
-            f"held {len(self.channels[(source, target)].in_flight)}"
-        )
+    def _deliver(self, take) -> None:
+        """One delivery round; ``take(channel)`` empties a channel."""
+        self._flushes += 1
+        for (source, target), channel in sorted(self.channels.items()):
+            messages = take(channel)
+            editor = self.editors[target]
+            count = 0
+            for text in messages:
+                count += editor.load_events(text)
+                self.log.append((target, text))
+            self.trace.append(
+                f"flush {self._flushes} {source}->{target}: "
+                f"delivered {len(messages)} applied {count} held {len(channel.in_flight)}"
+            )
 
     def flush(self) -> None:
-        self._flushes += 1
-        for (source, target) in sorted(self.channels):
-            self._deliver(source, target, self.channels[(source, target)].flush())
+        self._deliver(Channel.flush)
 
     def drain(self) -> None:
         """Final delivery round: everything still in flight arrives."""
-        self._flushes += 1
-        for (source, target) in sorted(self.channels):
-            self._deliver(source, target, self.channels[(source, target)].drain())
+        self._deliver(Channel.drain)
 
     def settle(self) -> None:
         """Drain once if anything is in flight.  Delivery never enqueues new
@@ -199,12 +191,13 @@ class Session:
             self.drain()
 
     def shared_filter(self) -> frozenset[str]:
-        shared: set[str] | None = None
-        for editor in self.editors.values():
-            tags = set(editor.sync_filter) if editor.sync_filter else set(editor.handlers)
-            shared = tags if shared is None else shared & tags
-        # An empty intersection must not read as "share everything".
-        return frozenset(shared) if shared else frozenset({"RemoveCommand"})
+        """The event types every editor handles and shares.  RemoveCommand is
+        always one, so the set is not empty, which would mean "all"."""
+        editors = list(self.editors.values())
+        if not editors:
+            return frozenset({"RemoveCommand"})
+        common = set.intersection(*(set(editor.handlers) for editor in editors))
+        return frozenset(tag for tag in common if all(e._shared(tag) for e in editors))
 
     def report(self) -> ConvergenceReport:
         """Digest the shared slice of every store and diff same-domain models."""
@@ -213,8 +206,7 @@ class Session:
         digests = {}
         dumps = {}
         for name, editor in self.editors.items():
-            export = editor.export_active(shared)
-            digests[name] = hashlib.sha256(export.encode("utf-8")).hexdigest()[:16]
+            digests[name] = editor.digest(shared)
             dumps[name] = dump_model(editor.registry)
         pair_diffs = {}
         converged = len(set(digests.values())) <= 1
@@ -228,7 +220,6 @@ class Session:
                     converged = False
         return ConvergenceReport(
             converged=converged,
-            editor_names=names,
             digests=digests,
             model_dumps=dumps,
             pair_diffs=pair_diffs,
@@ -280,7 +271,7 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
         directives.append((lineno, shlex.split(stripped)))
 
     config = {"seed": seed}
-    strategy = OverwriteStrategy.LAST_EDIT_WINS
+    strategy: OverwriteStrategy | None = None
     # Created by the first submit or flush; configuration must come before.
     session: Session | None = None
     pending_editors: list[tuple[str, Domain]] = []
@@ -288,7 +279,7 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
     def ensure_session() -> Session:
         nonlocal session
         if session is None:
-            session = Session(strategy=strategy, **config)
+            session = Session(strategy=strategy or OverwriteStrategy.LAST_EDIT_WINS, **config)
             for name, domain in pending_editors:
                 session.add_editor(name, domain)
         return session
@@ -296,7 +287,7 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
     for lineno, tokens in directives:
         word, args = tokens[0], tokens[1:]
         if word == "strategy":
-            if session is not None or len(args) != 1:
+            if session is not None or strategy is not None or len(args) != 1:
                 raise ScriptError(f"line {lineno}: strategy must appear once, before any submit")
             try:
                 strategy = OverwriteStrategy(args[0])

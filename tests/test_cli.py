@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,32 @@ def test_replay_empty_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "replay", "--domain", "javadoc", "--in", str(empty))
     assert code == 0
     assert out.splitlines()[0].startswith("active-digest: ")
+
+
+def test_replay_of_timeless_events_is_reproducible(capsys, tmp_path):
+    timeless = tmp_path / "timeless.ces"
+    timeless.write_text(
+        "- command: HaveRoot\n  id: org\n- command: HaveSubUnit\n  id: serv\n  parent: org\n",
+        encoding="utf-8",
+    )
+    argv = ["replay", "--domain", "javapackages", "--in", str(timeless)]
+    first = run_cli(capsys, *argv)
+    time.sleep(0.002)  # a wall clock would now stamp differently
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0
+
+
+def test_replay_at_the_end_of_time_exits_zero(capsys, tmp_path):
+    late = tmp_path / "late.ces"
+    late.write_text(
+        "- command: HaveRoot\n  id: org\n  time: 9999-12-31T23:59:59.999Z\n"
+        "- command: HaveSubUnit\n  id: serv\n  parent: org\n"
+        "- command: HaveSubUnit\n  id: fulib\n  parent: serv\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(late))
+    assert code == 0
+    assert "JavaPackage fulib {} links{pPack->serv}" in out
 
 
 # -- sync ---------------------------------------------------------------------------

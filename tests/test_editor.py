@@ -25,7 +25,10 @@ from ces.editor import (
     IdCollisionError,
 )
 from ces.events import DecodeError, OverwriteStrategy
+from ces.javadoc import FOLDERS
+from ces.javapackages import PACKAGES
 from ces.objects import Association, AssociationSchema, dump_model
+from ces.oracles import replay
 
 T = [f"2020-01-01T14:00:0{i}.000Z" for i in range(10)]
 
@@ -417,6 +420,35 @@ def test_isolated_empty_package_parses_to_garbage_removal():
     assert changed == 1
     assert editor.get_active("org").type_tag == "RemoveCommand"
     assert "org" not in editor.registry.model_objects
+
+
+@pytest.mark.parametrize(
+    "domain, tree",
+    [(JAVA_PACKAGES, PACKAGES), (JAVA_DOC, FOLDERS)],
+    ids=["javapackages", "javadoc"],
+)
+@pytest.mark.parametrize(
+    "strategy", [OverwriteStrategy.FIRST_EDIT_WINS, OverwriteStrategy.HIGHEST_VERSION_WINS]
+)
+def test_parse_of_edits_the_store_outranks_keeps_the_model_as_stored(domain, tree, strategy):
+    # The recovered events get fresh, later stamps and a lower vTag, so the
+    # stored events win; the model must then show what the store holds.
+    editor = Editor(domain, strategy=strategy)
+    for event in (
+        Event("HaveRoot", id="org", time=T[0]),
+        Event("HaveSubUnit", id="a", time=T[1], params={"parent": "org"}),
+        Event("HaveSubUnit", id="b", time=T[2], params={"parent": "org"}),
+        Event("HaveLeaf", id="C", time=T[3], params={"parent": "a", "vTag": "1.0"}),
+    ):
+        editor.execute(event)
+    registry = editor.registry
+    registry.clear_changes()
+    registry.set_attribute(registry.model_objects["C"], tree.leaf_attribute, "0.9")
+    registry.set_link(registry.model_objects["a"], tree.up, "b")
+    editor.parse(registry.changed_objects())
+    assert editor.get_active("C").params["vTag"] == "1.0"
+    replayed = replay(editor.active_commands.values(), domain, strategy=strategy)
+    assert model_equal(editor.registry, replayed.registry)
 
 
 def test_parse_is_idempotent_after_one_pass():

@@ -287,6 +287,12 @@ def test_diff_empty_iff_equal_on_perturbed_copies():
         assert not model_equal(a, b)
 
 
+def test_type_mismatch_is_a_difference():
+    a, b = _tree(), _tree()
+    b.model_objects["Editor"] = ModelObject("JavaPackage", "Editor")
+    assert model_diff(a, b).differences == ["Editor: type differs: JavaClass != JavaPackage"]
+
+
 def test_dump_model_is_deterministic_and_sorted():
     text = dump_model(_tree())
     assert text == dump_model(_tree(order=("serv", "fulib")))
@@ -295,6 +301,39 @@ def test_dump_model_is_deterministic_and_sorted():
 
 
 # -- consistency property -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (lambda o: o["org"].to_one.update(owner="fulib"), "org: unknown link name 'owner'"),
+        (
+            lambda o: o["org"].to_one.update(pack="fulib"),
+            "org: link 'pack' belongs to JavaClass, not JavaPackage",
+        ),
+        (
+            lambda o: o["serv"].to_many.update(pPack={o["serv"].to_one.pop("pPack")}),
+            "serv: link pPack stored with wrong cardinality",
+        ),
+        (
+            lambda o: o["org"].to_many["subPackages"].add("ghost"),
+            "org: link subPackages targets unknown id 'ghost'",
+        ),
+        (
+            lambda o: o["org"].to_many["subPackages"].add("Editor"),
+            "org: link subPackages targets JavaClass 'Editor'",
+        ),
+        (
+            lambda o: o["org"].to_many["subPackages"].discard("serv"),
+            "serv: link pPack->org missing reverse subPackages",
+        ),
+    ],
+)
+def test_consistency_audit_reports_each_kind_of_corruption(corrupt, problem):
+    registry = _tree()
+    assert registry.consistency_violations() == []
+    corrupt(registry.model_objects)
+    assert problem in registry.consistency_violations()
 
 
 @st.composite

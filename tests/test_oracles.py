@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, model_equal
-from ces.editor import CommandHandler, Domain
+from ces.editor import CommandError, CommandHandler, Domain
 from ces.objects import Association, AssociationSchema
 from ces.oracles import (
     ActiveSetError,
@@ -226,6 +226,41 @@ def test_store_signature_ignores_time_and_tombstones():
 def test_random_sequences_are_reproducible():
     assert random_command_sequence(30, 42) == random_command_sequence(30, 42)
     assert random_command_sequence(30, 42) != random_command_sequence(30, 43)
+
+
+# -- the replay clock ---------------------------------------------------------------------
+
+
+LAST = "9999-12-31T23:59:59.999Z"
+
+
+@pytest.mark.parametrize(
+    "latest, start",
+    [
+        ("2020-02-28T00:00:00.000Z", "2020-02-28T01:00:00.000Z"),
+        ("2019-06-01T00:00:00.000Z", "2020-01-01T01:00:00.000Z"),
+        # a day past its month's end is no calendar date: the next month starts
+        ("2020-02-31T00:00:00.000Z", "2020-03-01T00:00:00.000Z"),
+        ("2021-02-29T23:59:59.999Z", "2021-03-01T00:00:00.000Z"),
+        ("2020-11-31T00:00:00.000Z", "2020-12-01T00:00:00.000Z"),
+        # within an hour of the last stamp there is: held there, no overflow
+        ("9999-12-31T23:30:00.000Z", LAST),
+        (LAST, LAST),
+    ],
+)
+def test_replay_clock_starts_after_the_latest_stamp(latest, start):
+    timeless = [Event("HaveRoot", id="c"), Event("HaveRoot", id="d")]
+    editor = replay([Event("HaveRoot", id="b", time=latest), *timeless], JAVA_PACKAGES)
+    stamps = [editor.get_active(id).time for id in "cd"]
+    assert stamps[0] == start and stamps[1] >= start
+    assert editor.clock.now() >= stamps[1]
+
+
+def test_replay_clock_leaves_malformed_stamps_for_execute_to_refuse():
+    for bad in ("zzz", "2020-99-99T99:99:99.999Z"):
+        events = [Event("HaveRoot", id="a", time=T[0]), Event("HaveRoot", id="b", time=bad)]
+        with pytest.raises(CommandError):
+            replay(events, JAVA_PACKAGES)
 
 
 def test_stamp_events_preserves_existing_times():

@@ -243,6 +243,13 @@ def test_script_strategy_directive():
         "teleport alice\n",
         "editor alice javapackages\nsubmit alice HaveRoot\n",
         "strategy nonsense\n",
+        "strategy first-edit-wins\nstrategy last-edit-wins\n" + ALICE_BOB_SCRIPT,
+        "editor alice javapackages\n" + ALICE_BOB_SCRIPT,
+        "channel reorder=maybe\n",
+        "channel drop\n",
+        "channel speed=1\n",
+        ALICE_BOB_SCRIPT + "channel drop=0.1\n",
+        ALICE_BOB_SCRIPT + "editor carol javapackages\n",
     ],
 )
 def test_script_errors(bad):
