@@ -9,7 +9,6 @@ interact with each other only through the encoded event text.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -243,8 +242,9 @@ class Editor:
         event only when it differs from the stored one in some field other
         than time; unchanged increments keep their original timestamps.  A
         recovered event the stored one outranks is ignored, and the stored
-        one runs again to put its increment back.  Returns the number of
-        new or updated commands.
+        one runs again to put its increment back; a stored tombstone first
+        has the recovered event's increment removed (detached and demoted
+        to a frame).  Returns the number of new or updated commands.
         """
         objects = list(objects)
         for obj in objects:
@@ -264,6 +264,10 @@ class Editor:
                     if self.execute(event) is not None:
                         changed += 1
                     else:
+                        if old.type_tag == RemoveCommandHandler.type_tag:
+                            # Re-running a tombstone undoes nothing the
+                            # direct edit made, so take that increment out.
+                            self.handlers[event.type_tag].remove(self, event)
                         self.handlers[old.type_tag].run(self, old)
             return changed
         finally:
@@ -286,13 +290,17 @@ class Editor:
         return self.active_commands.get((scope, id))
 
     def clone(self) -> "Editor":
-        """Independent deep copy (registry and store); shares handlers."""
+        """An independent twin: a structural copy of the registry (see
+        :meth:`ObjectRegistry.copy`) and a copy of the store, whose events
+        are immutable and so shared.  The twin keeps the domain, strategy
+        and sync filter and shares the domain's handlers, which hold no
+        state; its clock is a fresh one, not a copy of this editor's."""
         twin = Editor(
             self.domain,
             strategy=self.strategy,
             clock=Clock(),
             sync_filter=self.sync_filter,
         )
-        twin.registry = copy.deepcopy(self.registry)
+        twin.registry = self.registry.copy()
         twin.active_commands = dict(self.active_commands)
         return twin

@@ -166,16 +166,48 @@ class ObjectRegistry:
     def remove_model_object(self, id: str) -> ModelObject | None:
         """Demote a model object to a frame; it may still serve as context.
 
-        Returns whatever the frames map now holds for the id, or None if the
-        id was never known.
+        A parsed object that no other map holds (one a direct edit created)
+        is demoted the same way.  Returns whatever the frames map now holds
+        for the id, or None if the id was never known.
         """
         obj = self.model_objects.pop(id, None)
+        if obj is None and id not in self.frames:
+            obj = self.parsed_objects.get(id)
         if obj is not None:
             self.frames[id] = obj
         return self.frames.get(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
         self.parsed_objects[obj.id] = obj
+
+    def copy(self) -> "ObjectRegistry":
+        """A structural copy sharing the schema: one new object per object,
+        each with its own attribute and link dicts and link sets.  An object
+        held by several maps (the change set included) is copied once, so
+        the copy's maps share objects exactly where this registry's do."""
+        twins: dict[int, ModelObject] = {}
+
+        def twin_of(obj: ModelObject) -> ModelObject:
+            twin = twins.get(id(obj))
+            if twin is None:
+                twin = twins[id(obj)] = ModelObject(
+                    obj.object_type,
+                    obj.id,
+                    dict(obj.attributes),
+                    dict(obj.to_one),
+                    {link: set(ids) for link, ids in obj.to_many.items()},
+                )
+            return twin
+
+        def table(objects: dict[str, ModelObject]) -> dict[str, ModelObject]:
+            return {key: twin_of(obj) for key, obj in objects.items()}
+
+        copied = ObjectRegistry(self.schema)
+        copied.model_objects = table(self.model_objects)
+        copied.frames = table(self.frames)
+        copied.parsed_objects = table(self.parsed_objects)
+        copied._changed = table(self._changed)
+        return copied
 
     # -- change tracking ------------------------------------------------------
 
@@ -359,13 +391,19 @@ def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
     """Compare the model objects of two registries; frames are excluded from
     equality but reported as warnings when asymmetric."""
     diff = ModelDiff()
-    ids_a, ids_b = set(a.model_objects), set(b.model_objects)
-    for id in sorted(ids_a - ids_b):
-        diff.differences.append(f"only in a: {a.model_objects[id].object_type} {id}")
-    for id in sorted(ids_b - ids_a):
-        diff.differences.append(f"only in b: {b.model_objects[id].object_type} {id}")
-    for id in sorted(ids_a & ids_b):
-        oa, ob = a.model_objects[id], b.model_objects[id]
+    objects_a, objects_b = a.model_objects, b.model_objects
+    for id in sorted(objects_a.keys() - objects_b.keys()):
+        diff.differences.append(f"only in a: {objects_a[id].object_type} {id}")
+    for id in sorted(objects_b.keys() - objects_a.keys()):
+        diff.differences.append(f"only in b: {objects_b[id].object_type} {id}")
+    # Raw equality (type, id, attributes, links) implies canonical equality,
+    # so only the shared ids whose objects differ raw are sorted and
+    # canonicalized; an empty attribute or link set may still compare equal.
+    mismatched = [
+        id for id, oa in objects_a.items() if id in objects_b and oa != objects_b[id]
+    ]
+    for id in sorted(mismatched):
+        oa, ob = objects_a[id], objects_b[id]
         if oa.object_type != ob.object_type:
             diff.differences.append(
                 f"{id}: type differs: {oa.object_type} != {ob.object_type}"
@@ -385,9 +423,9 @@ def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
                     f"{id}: link {key} differs: "
                     f"{_render(links_a.get(key))} != {_render(links_b.get(key))}"
                 )
-    for id in sorted(set(a.frames) - set(b.frames)):
+    for id in sorted(a.frames.keys() - b.frames.keys()):
         diff.warnings.append(f"frame only in a: {id}")
-    for id in sorted(set(b.frames) - set(a.frames)):
+    for id in sorted(b.frames.keys() - a.frames.keys()):
         diff.warnings.append(f"frame only in b: {id}")
     return diff
 

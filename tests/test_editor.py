@@ -24,11 +24,13 @@ from ces.editor import (
     HaveLinkHandler,
     IdCollisionError,
 )
-from ces.events import DecodeError, OverwriteStrategy
+from ces.events import DecodeError, OverwriteStrategy, stepping_clock
 from ces.javadoc import FOLDERS
 from ces.javapackages import PACKAGES
-from ces.objects import Association, AssociationSchema, dump_model
+from ces.objects import Association, AssociationSchema, dump_model, model_diff
 from ces.oracles import replay
+
+from conftest import snapshot
 
 T = [f"2020-01-01T14:00:0{i}.000Z" for i in range(10)]
 
@@ -451,6 +453,71 @@ def test_parse_of_edits_the_store_outranks_keeps_the_model_as_stored(domain, tre
     assert model_equal(editor.registry, replayed.registry)
 
 
+both_domains = pytest.mark.parametrize(
+    "domain, tree",
+    [(JAVA_PACKAGES, PACKAGES), (JAVA_DOC, FOLDERS)],
+    ids=["javapackages", "javadoc"],
+)
+# A stored tombstone that outranks every event parse recovers.
+tombstone_wins = pytest.mark.parametrize(
+    "strategy, tombstone_time",
+    [
+        (OverwriteStrategy.FIRST_EDIT_WINS, T[1]),
+        # Later than every stamp the editor's clock hands the recovered event.
+        (OverwriteStrategy.LAST_EDIT_WINS, "2999-01-01T00:00:00.000Z"),
+    ],
+    ids=["first-edit-wins", "last-edit-wins"],
+)
+
+
+@both_domains
+@tombstone_wins
+@pytest.mark.parametrize("existed", [False, True], ids=["new-object", "edited-frame"])
+def test_parse_over_a_winning_tombstone_detaches_and_demotes_the_edit(
+    domain, tree, strategy, tombstone_time, existed
+):
+    # The user links a leaf the store holds a winning tombstone for, either
+    # a new object or the frame the tombstone left.  The recovered leaf
+    # event loses, and re-running the tombstone alone left the parent linked
+    # to the leaf, in the new-object case to an id no map holds.
+    editor = Editor(domain, strategy=strategy, clock=stepping_clock(T[5]))
+    editor.execute(Event("HaveRoot", id="org", time=T[0]))
+    if existed:
+        editor.execute(Event("HaveLeaf", id="C", time=T[2], params={"parent": "org", "vTag": "1.0"}))
+    editor.execute(Event("RemoveCommand", id="C", time=tombstone_time))
+    registry = editor.registry
+    registry.clear_changes()
+    leaf = registry.frames["C"] if existed else ModelObject(tree.leaf, "C")
+    registry.set_link(leaf, tree.leaf_up, registry.find("org"))
+    editor.parse(registry.changed_objects())
+    assert editor.get_active("C").type_tag == "RemoveCommand"
+    assert registry.consistency_violations() == []
+    replayed = replay(editor.active_commands.values(), domain, strategy=strategy)
+    assert model_diff(registry, replayed.registry).differences == []
+    assert "C" not in registry.model_objects and registry.frames["C"].to_one == {}
+
+
+@both_domains
+@tombstone_wins
+def test_parse_over_a_winning_tombstone_demotes_a_new_container_its_leaf_references(
+    domain, tree, strategy, tombstone_time
+):
+    # The recovered root loses and no handler's remove undoes a root, so the
+    # tombstone itself must demote the parsed container the new leaf links to.
+    editor = Editor(domain, strategy=strategy, clock=stepping_clock(T[5]))
+    editor.execute(Event("RemoveCommand", id="p", time=tombstone_time))
+    registry = editor.registry
+    container = ModelObject(tree.container, "p")
+    registry.set_link(ModelObject(tree.leaf, "C"), tree.leaf_up, container)
+    editor.parse(registry.changed_objects())
+    assert editor.get_active("p").type_tag == "RemoveCommand"
+    assert editor.get_active("C").type_tag == "HaveLeaf"
+    assert registry.frames["p"] is container
+    assert registry.consistency_violations() == []
+    replayed = replay(editor.active_commands.values(), domain, strategy=strategy)
+    assert model_diff(registry, replayed.registry).differences == []
+
+
 def test_parse_is_idempotent_after_one_pass():
     editor = Editor(JAVA_PACKAGES)
     editor.execute(Event("HaveRoot", id="org", time=T[0]))
@@ -467,6 +534,69 @@ def test_clone_is_independent(packages_editor):
     twin.execute(Event("RemoveCommand", id="Editor", time=T[7]))
     assert "Editor" in packages_editor.registry.model_objects
     assert packages_editor.get_active("Editor").type_tag == "HaveLeaf"
+
+
+def _with_a_frame_and_pending_changes(editor: Editor) -> Editor:
+    """The start situation plus a frame ("ghost", the parent of "lib") and
+    an uncommitted direct edit of Editor's vTag."""
+    editor.execute(Event("HaveSubUnit", id="lib", time=T[4], params={"parent": "ghost"}))
+    registry = editor.registry
+    registry.clear_changes()
+    registry.set_attribute(registry.find("Editor"), "vTag", "2.0")
+    return editor
+
+
+def _containers(editor: Editor) -> dict[int, object]:
+    """Every object, dict and set an editor's registry and store hold, by
+    identity."""
+    registry = editor.registry
+    found: list[object] = [editor.active_commands]
+    for table in (registry.model_objects, registry.frames, registry.parsed_objects, registry._changed):
+        found.append(table)
+        for obj in table.values():
+            found += [obj, obj.attributes, obj.to_one, obj.to_many, *obj.to_many.values()]
+    return {id(thing): thing for thing in found}
+
+
+def test_clone_is_a_structural_copy_that_shares_no_container(packages_editor):
+    editor = _with_a_frame_and_pending_changes(packages_editor)
+    twin = editor.clone()
+    assert dump_model(twin.registry) == dump_model(editor.registry)
+    assert snapshot(twin) == snapshot(editor)
+    assert twin.clock is not editor.clock
+    assert not _containers(twin).keys() & _containers(editor).keys()
+    # The twin's change set holds the twin's own objects.
+    assert twin.registry.changed_ids == {"Editor"}
+    (changed,) = twin.registry.changed_objects()
+    assert changed is twin.registry.model_objects["Editor"]
+    assert changed is not editor.registry.model_objects["Editor"]
+
+
+def _mutate(editor: Editor) -> None:
+    registry = editor.registry
+    registry.set_attribute(registry.find("Editor"), "vTag", "3.0")
+    # to-one link, and the to-many sets of both parents
+    registry.set_link(registry.find("serv"), "pPack", "org")
+    registry.add_to_many(registry.find("org"), "classes", "Editor")
+    # the frame's to-many set
+    registry.set_link(registry.find("lib"), "pPack", None)
+    editor.execute(Event("RemoveCommand", id="fulib", time=T[8]))
+    registry.clear_changes()
+
+
+@pytest.mark.parametrize("mutated", ["twin", "original"])
+def test_clone_and_original_do_not_see_each_others_edits(packages_editor, mutated):
+    editor = _with_a_frame_and_pending_changes(packages_editor)
+    twin = editor.clone()
+    before = snapshot(editor)
+    target, other = (twin, editor) if mutated == "twin" else (editor, twin)
+    _mutate(target)
+    assert snapshot(other) == before
+    assert other.registry.changed_ids == {"Editor"}
+    assert other.registry.frames["ghost"].to_many == {"subPackages": {"lib"}}
+    assert other.get_active("fulib").type_tag == "HaveSubUnit"
+    assert snapshot(target) != before
+    assert target.registry.changed_ids == set()
 
 
 # -- overwriting makes losers ineffective ---------------------------------------------

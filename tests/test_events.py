@@ -513,3 +513,41 @@ def test_decode_matches_the_reference_on_encoded_text(events, crlf):
     if any(c in text for c in "\x85\u2028\u2029\x0b\x0c\x1c\x1d\x1e"):
         return  # the reference splits these; see test_codec_round_trip_identities
     assert _outcome(decode, text) == _outcome(_ref_decode, text)
+
+
+# -- decode of arbitrary text --------------------------------------------------------
+
+_codec_pieces = st.lists(
+    st.sampled_from(list('- :"\\abcdi\t\r\n\x00\x0b\x85\u2028\u3000') + ["command", "id", "time", T0]),
+    max_size=40,
+).map("".join)
+
+
+@st.composite
+def _damaged_text(draw):
+    """Encoded events with a few pieces cut out or spliced in."""
+    text = encode(draw(st.lists(_events, min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + draw(st.text(alphabet='- :"\\a\t\r\n\x00\x0b\x85', max_size=4)) + text[end:]
+    return text
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.text(),
+        _codec_pieces,
+        st.lists(_soup_block, max_size=4).map(
+            lambda blocks: "\n".join(line for block in blocks for line in block)
+        ),
+        _damaged_text(),
+    )
+)
+def test_decode_of_any_text_is_an_error_or_round_trips(text):
+    try:
+        events = decode(text)
+    except DecodeError:
+        return
+    assert decode(encode(events)) == events

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ces.events import CesError
 from ces.javapackages import JAVA_PACKAGES_SCHEMA
 from ces.objects import (
     Association,
@@ -291,6 +292,133 @@ def test_type_mismatch_is_a_difference():
     a, b = _tree(), _tree()
     b.model_objects["Editor"] = ModelObject("JavaPackage", "Editor")
     assert model_diff(a, b).differences == ["Editor: type differs: JavaClass != JavaPackage"]
+
+
+# -- model_diff against the canonical reference ------------------------------------
+
+
+def _reference_diff(a: ObjectRegistry, b: ObjectRegistry) -> tuple[list[str], list[str]]:
+    """Differences and warnings as model_diff gave them when it canonicalized
+    every shared id: empty attributes and empty links dropped first."""
+
+    def attrs(obj):
+        return {k: v for k, v in obj.attributes.items() if v}
+
+    def links(obj):
+        state = {k: v for k, v in obj.to_one.items() if v}
+        state.update({k: frozenset(v) for k, v in obj.to_many.items() if v})
+        return state
+
+    def render(value):
+        if isinstance(value, frozenset):
+            return "{" + ",".join(sorted(value)) + "}"
+        return repr(value) if value is None else str(value)
+
+    differences, warnings = [], []
+    ids_a, ids_b = set(a.model_objects), set(b.model_objects)
+    for id in sorted(ids_a - ids_b):
+        differences.append(f"only in a: {a.model_objects[id].object_type} {id}")
+    for id in sorted(ids_b - ids_a):
+        differences.append(f"only in b: {b.model_objects[id].object_type} {id}")
+    for id in sorted(ids_a & ids_b):
+        oa, ob = a.model_objects[id], b.model_objects[id]
+        if oa.object_type != ob.object_type:
+            differences.append(f"{id}: type differs: {oa.object_type} != {ob.object_type}")
+            continue
+        attrs_a, attrs_b = attrs(oa), attrs(ob)
+        for key in sorted(set(attrs_a) | set(attrs_b)):
+            if attrs_a.get(key) != attrs_b.get(key):
+                differences.append(
+                    f"{id}: attribute {key!r} differs: "
+                    f"{attrs_a.get(key, '')!r} != {attrs_b.get(key, '')!r}"
+                )
+        links_a, links_b = links(oa), links(ob)
+        for key in sorted(set(links_a) | set(links_b)):
+            if links_a.get(key) != links_b.get(key):
+                differences.append(
+                    f"{id}: link {key} differs: "
+                    f"{render(links_a.get(key))} != {render(links_b.get(key))}"
+                )
+    for id in sorted(set(a.frames) - set(b.frames)):
+        warnings.append(f"frame only in a: {id}")
+    for id in sorted(set(b.frames) - set(a.frames)):
+        warnings.append(f"frame only in b: {id}")
+    return differences, warnings
+
+
+_DIFF_IDS = ["p0", "p1", "p2", "c0", "c1", "c2"]
+_direct_edits = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["vtag", "raw_vtag", "link", "unlink", "empty_set", "empty_one", "remove", "retype"]
+        ),
+        st.sampled_from(_DIFF_IDS),
+        st.sampled_from(_DIFF_IDS),
+        st.sampled_from(["", "1.0", "2.0"]),
+    ),
+    max_size=10,
+)
+
+
+def _type_of(id: str) -> str:
+    return "JavaPackage" if id.startswith("p") else "JavaClass"
+
+
+def _direct_edit(registry: ObjectRegistry, kind: str, x: str, y: str, value: str) -> None:
+    """One edit through the registry or, for the raw kinds, straight into
+    an object's maps, leaving non-canonical empty values behind."""
+    obj = registry.get_or_create(_type_of(x), x)
+    package = obj.object_type == "JavaPackage"
+    up = "pPack" if package else "pack"
+    if kind == "vtag" and not package:
+        registry.set_attribute(obj, "vTag", value)
+    elif kind == "raw_vtag":
+        obj.attributes["vTag"] = value
+    elif kind == "link" and _type_of(y) == "JavaPackage" and x != y:
+        registry.set_link(obj, up, registry.get_object_frame("JavaPackage", y))
+    elif kind == "unlink":
+        registry.set_link(obj, up, None)
+    elif kind == "empty_set" and package:
+        obj.to_many.setdefault("classes" if value else "subPackages", set())
+    elif kind == "empty_one":
+        obj.to_one.setdefault(up, "")
+    elif kind == "remove":
+        registry.remove_model_object(x)
+    elif kind == "retype":
+        other = "JavaClass" if package else "JavaPackage"
+        registry.model_objects[x] = ModelObject(other, x, dict(obj.attributes))
+
+
+@settings(max_examples=300)
+@given(_direct_edits, _direct_edits, _direct_edits)
+def test_model_diff_equals_the_canonical_reference(common, only_a, only_b):
+    a, b = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    for registry, edits in ((a, common + only_a), (b, common + only_b)):
+        for edit in edits:
+            try:
+                _direct_edit(registry, *edit)
+            except CesError:
+                pass  # a type conflict after a retype; the edit changes nothing
+    diff = model_diff(a, b)
+    assert (diff.differences, diff.warnings) == _reference_diff(a, b)
+
+
+@pytest.mark.parametrize(
+    "raw, canonical",
+    [
+        (ModelObject("JavaClass", "C", attributes={"vTag": ""}), ModelObject("JavaClass", "C")),
+        (ModelObject("JavaPackage", "p", to_many={"classes": set()}), ModelObject("JavaPackage", "p")),
+        (ModelObject("JavaClass", "C", to_one={"pack": ""}), ModelObject("JavaClass", "C")),
+    ],
+    ids=["empty-attribute", "empty-link-set", "empty-to-one"],
+)
+def test_non_canonical_empty_values_are_no_difference(raw, canonical):
+    a, b = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    a.model_objects[raw.id], b.model_objects[canonical.id] = raw, canonical
+    assert raw != canonical
+    for first, second in ((a, b), (b, a)):
+        diff = model_diff(first, second)
+        assert (diff.differences, diff.warnings) == _reference_diff(first, second) == ([], [])
 
 
 def test_dump_model_is_deterministic_and_sorted():
