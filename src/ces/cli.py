@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, CesError) as exc:
+    except (OSError, UnicodeDecodeError, CesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -268,7 +268,7 @@ class ObjectRegistry:
         if old_id == new_id:
             return
         if old_id is not None:
-            old_obj = self.find(old_id)
+            old_obj = self.find(old_id) or self._changed.get(old_id)
             if old_obj is not None:
                 self._discard(old_obj, end.other_name, obj.id)
                 self._mark(old_obj)

@@ -30,6 +30,10 @@ class ActiveSetError(CesError):
     """Two retained events share a store key: the series is not overwriting."""
 
 
+class MissingIdError(CesError, ValueError):
+    """An oracle that permutes events was given one without an id."""
+
+
 def _clock_beyond(events):
     """Deterministic clock strictly ahead of every stamp in the sequence, so
     anything the editor mints later (e.g. during a parse pass) postdates the
@@ -155,7 +159,7 @@ def check_commutative(
     permutations; pass iff every variant yields the same model and store."""
     events = stamp_events(events)
     if any(not e.id for e in events):
-        raise ValueError("check_commutative needs events with explicit ids")
+        raise MissingIdError("check_commutative needs events with explicit ids")
     base = replay(events, domain, strategy=strategy)
     rng = random.Random(seed)
     variants: list[tuple[str, list[Event]]] = [("reverse", list(reversed(events)))]

@@ -33,7 +33,8 @@ class Channel:
 
     With ``eventual`` on, a dropped message is deferred to a later flush
     instead of erased, so every submitted event is delivered at least once
-    before the session ends.
+    before the session ends.  A message repeats while a fresh draw falls
+    below ``duplicate``, so that share must stay below 1.
     """
 
     def __init__(
@@ -45,6 +46,8 @@ class Channel:
         eventual: bool = True,
         seed=0,
     ):
+        if not (0 <= drop <= 1 and 0 <= duplicate < 1):  # also refuses NaN
+            raise ValueError(f"need drop in [0, 1] and duplicate in [0, 1), got {drop!r} and {duplicate!r}")
         self.drop = drop
         self.duplicate = duplicate
         self.reorder = reorder
@@ -124,9 +127,6 @@ class Session:
         self.editors: dict[str, Editor] = {}
         self.channels: dict[tuple[str, str], Channel] = {}
         self.trace: list[str] = []
-        # Every text each editor processed, in order: the session is a pure
-        # function of this log, so it can be replayed (even on threads).
-        self.log: list[tuple[str, str]] = []
         self._flushes = 0
 
     def add_editor(self, name: str, domain: Domain) -> Editor:
@@ -152,7 +152,6 @@ class Session:
             self.trace.append(f"submit {name}: ignored {event.type_tag} {event.id}")
             return None
         text = encode([applied])
-        self.log.append((name, text))
         if editor._shared(applied.type_tag):
             for other in self.editors:
                 if other != name:
@@ -163,18 +162,17 @@ class Session:
         return applied
 
     def _deliver(self, take) -> None:
-        """One delivery round; ``take(channel)`` empties a channel."""
+        """One delivery round; ``take(channel)`` empties a channel.  Each
+        message is encoded text ending in a newline, so a channel's messages
+        reach their editor as one joined text and one load: a failing event
+        raises only after every other message taken has run."""
         self._flushes += 1
         for (source, target), channel in sorted(self.channels.items()):
             messages = take(channel)
-            editor = self.editors[target]
-            count = 0
-            for text in messages:
-                count += editor.load_events(text)
-                self.log.append((target, text))
+            applied = self.editors[target].load_events("".join(messages))
             self.trace.append(
                 f"flush {self._flushes} {source}->{target}: "
-                f"delivered {len(messages)} applied {count} held {len(channel.in_flight)}"
+                f"delivered {len(messages)} applied {applied} held {len(channel.in_flight)}"
             )
 
     def flush(self) -> None:
@@ -262,71 +260,64 @@ def _parse_kv(tokens: list[str], line: int) -> dict[str, str]:
 
 
 def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> ConvergenceReport:
-    """Execute a session script and return its convergence report."""
-    directives = []
+    """Read a whole session script, then run it and return its convergence
+    report.  A malformed line is a :class:`ScriptError` naming that line,
+    raised before any command runs."""
+    options: dict = {"seed": seed}
+    editors: dict[str, Domain] = {}
+    actions: list[tuple[str, Event] | None] = []  # a submit, or None for a flush
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        directives.append((lineno, shlex.split(stripped)))
+        try:
+            word, *args = shlex.split(stripped)
+            if word in ("strategy", "channel", "editor") and actions:
+                raise ScriptError(f"line {lineno}: {word} must precede every submit and flush")
+            if word == "strategy":
+                if "strategy" in options or len(args) != 1:
+                    raise ScriptError(f"line {lineno}: strategy must appear once, with one name")
+                options["strategy"] = OverwriteStrategy(args[0])
+            elif word == "channel":
+                pairs = _parse_kv(args, lineno)
+                for key in ("drop", "duplicate"):
+                    if key in pairs:
+                        options[key] = float(pairs.pop(key))
+                Channel(drop=options.get("drop", 0), duplicate=options.get("duplicate", 0))  # range check
+                for key in ("reorder", "eventual"):
+                    if key in pairs:
+                        options[key] = _parse_bool(pairs.pop(key), lineno)
+                if pairs:
+                    raise ScriptError(f"line {lineno}: unknown channel options {sorted(pairs)}")
+            elif word == "editor":
+                if len(args) != 2 or args[0] in editors:
+                    raise ScriptError(f"line {lineno}: editor <new name> <domain>")
+                if args[1] not in domains:
+                    raise ScriptError(f"line {lineno}: unknown domain {args[1]!r}")
+                editors[args[0]] = domains[args[1]]
+            elif word == "submit":
+                if len(args) < 3:
+                    raise ScriptError(f"line {lineno}: submit <editor> <command> <id> [key=value ...]")
+                name, type_tag, event_id = args[:3]
+                if name not in editors:
+                    raise ScriptError(f"line {lineno}: unknown editor {name!r}")
+                params = _parse_kv(args[3:], lineno)
+                time = params.pop("time", "")
+                actions.append((name, Event(type_tag, id=event_id, time=time, params=params)))
+            elif word == "flush":
+                actions.append(None)
+            else:
+                raise ScriptError(f"line {lineno}: unknown directive {word!r}")
+        except ValueError as exc:  # from shlex, float, Channel, OverwriteStrategy or Event
+            raise ScriptError(f"line {lineno}: {exc}") from None
 
-    config = {"seed": seed}
-    strategy: OverwriteStrategy | None = None
-    # Created by the first submit or flush; configuration must come before.
-    session: Session | None = None
-    pending_editors: list[tuple[str, Domain]] = []
-
-    def ensure_session() -> Session:
-        nonlocal session
-        if session is None:
-            session = Session(strategy=strategy or OverwriteStrategy.LAST_EDIT_WINS, **config)
-            for name, domain in pending_editors:
-                session.add_editor(name, domain)
-        return session
-
-    for lineno, tokens in directives:
-        word, args = tokens[0], tokens[1:]
-        if word == "strategy":
-            if session is not None or strategy is not None or len(args) != 1:
-                raise ScriptError(f"line {lineno}: strategy must appear once, before any submit")
-            try:
-                strategy = OverwriteStrategy(args[0])
-            except ValueError:
-                raise ScriptError(f"line {lineno}: unknown strategy {args[0]!r}") from None
-        elif word == "channel":
-            if session is not None:
-                raise ScriptError(f"line {lineno}: channel config must precede submits")
-            pairs = _parse_kv(args, lineno)
-            for key in ("drop", "duplicate"):
-                if key in pairs:
-                    config[key] = float(pairs.pop(key))
-            for key in ("reorder", "eventual"):
-                if key in pairs:
-                    config[key] = _parse_bool(pairs.pop(key), lineno)
-            if pairs:
-                raise ScriptError(f"line {lineno}: unknown channel options {sorted(pairs)}")
-        elif word == "editor":
-            if session is not None or len(args) != 2:
-                raise ScriptError(f"line {lineno}: editor <name> <domain> must precede submits")
-            name, domain_name = args
-            if domain_name not in domains:
-                raise ScriptError(f"line {lineno}: unknown domain {domain_name!r}")
-            pending_editors.append((name, domains[domain_name]))
-        elif word == "submit":
-            if len(args) < 3:
-                raise ScriptError(f"line {lineno}: submit <editor> <command> <id> [key=value ...]")
-            editor_name, type_tag, event_id = args[0], args[1], args[2]
-            params = _parse_kv(args[3:], lineno)
-            time = params.pop("time", "")
-            live = ensure_session()
-            if editor_name not in live.editors:
-                raise ScriptError(f"line {lineno}: unknown editor {editor_name!r}")
-            live.submit(editor_name, Event(type_tag, id=event_id, time=time, params=params))
-        elif word == "flush":
-            ensure_session().flush()
+    session = Session(**options)
+    for name, domain in editors.items():
+        session.add_editor(name, domain)
+    for action in actions:
+        if action is None:
+            session.flush()
         else:
-            raise ScriptError(f"line {lineno}: unknown directive {word!r}")
-
-    live = ensure_session()
-    live.settle()
-    return live.report()
+            session.submit(*action)
+    session.settle()
+    return session.report()

@@ -231,6 +231,32 @@ def test_format_errors_exit_two(capsys, tmp_path):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, content",
+    [
+        ("replay", None),  # a directory
+        ("replay", b"\xff- command: HaveRoot\n"),  # not UTF-8
+        ("check-commute", b"- command: HaveRoot\n  time: 2020-01-01T00:00:00.000Z\n"),  # no id
+        ("simulate", b'editor a javapackages\nsubmit a HaveRoot "x\n'),  # unterminated quote
+        ("simulate", b"editor a javapackages\nsubmit a Have@Root x\n"),
+        ("simulate", b"editor a javapackages\nsubmit a HaveRoot x id=3\n"),
+    ],
+)
+def test_malformed_inputs_exit_two(capsys, tmp_path, subcommand, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if subcommand == "simulate":
+        argv = ["--script", str(path)]
+    else:
+        argv = ["--domain", "javapackages", "--in", str(path)]
+    code, _, err = run_cli(capsys, subcommand, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
 def test_python_m_ces_runs_the_cli(capsys, start_file, tmp_path):
     def python_m_ces(*argv):
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

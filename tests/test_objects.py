@@ -122,6 +122,15 @@ def test_unset_link_clears_both_ends(registry):
     assert "subPackages" not in org.to_many
 
 
+def test_clearing_a_link_to_an_unregistered_object_clears_its_reverse(registry):
+    p1 = registry.get_or_create("JavaPackage", "p1")
+    p0 = ModelObject("JavaPackage", "p0")  # direct edit, in no map
+    registry.set_link(p1, "pPack", p0)
+    registry.set_link(p1, "pPack", None)
+    assert "pPack" not in p1.to_one
+    assert p0.to_many == {}
+
+
 def test_reassignment_moves_membership_between_parents(registry):
     org = registry.get_or_create("JavaPackage", "org")
     fulib = registry.get_or_create("JavaPackage", "fulib")

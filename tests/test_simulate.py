@@ -5,7 +5,8 @@ import pytest
 from ces import Event, JAVA_DOC, JAVA_PACKAGES, model_equal
 from ces.cli import DOMAINS
 from ces.simulate import Channel, ScriptError, Session, run_script
-from ces.events import OverwriteStrategy
+from ces.editor import LoadError
+from ces.events import OverwriteStrategy, encode
 
 ALICE_EVENT = Event(
     "HaveLeaf", id="Editor", time="2020-01-01T13:36:00.000Z", params={"parent": "serv", "vTag": "1.0"}
@@ -56,6 +57,15 @@ def test_lossy_mode_erases_drops():
     channel.submit("a")
     assert channel.flush() == []
     assert channel.in_flight == []
+
+
+@pytest.mark.parametrize(
+    "faults", [{"duplicate": 1.0}, {"duplicate": -0.1}, {"drop": 1.5}, {"drop": float("nan")}]
+)
+def test_channel_refuses_shares_out_of_range(faults):
+    # duplicate=1 would repeat a message forever: random() is always below 1.
+    with pytest.raises(ValueError):
+        Channel(**faults)
 
 
 def test_duplicates_repeat_messages():
@@ -142,6 +152,18 @@ def test_settle_empties_every_channel_and_is_silent_when_idle():
     assert session.trace == trace
 
 
+def test_a_failing_message_loses_none_taken_with_it():
+    session = Session(seed=0)
+    session.add_editor("alice", JAVA_PACKAGES)
+    session.add_editor("bob", JAVA_PACKAGES)
+    session.submit("alice", Event("HaveLeaf", id="x", time="2020-01-01T00:00:01.000Z", params={"parent": "p"}))
+    session.submit("bob", Event("HaveRoot", id="x", time="2020-01-01T00:00:02.000Z"))
+    session.submit("bob", Event("HaveRoot", id="y", time="2020-01-01T00:00:03.000Z"))
+    with pytest.raises(LoadError):  # alice's class x cannot become bob's package x
+        session.flush()
+    assert session.editors["alice"].get_active("y") is not None
+
+
 def test_pure_loss_non_convergence_is_reported_not_thrown():
     session = Session(seed=2, drop=1.0, eventual=False)  # every message erased
     session.add_editor("alice", JAVA_PACKAGES)
@@ -163,21 +185,31 @@ def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
 
     session = Session(seed=13, duplicate=0.4, reorder=True)
     names = ["a", "b", "c"]
+    feeds = {name: [] for name in names}
     for name in names:
-        session.add_editor(name, JAVA_PACKAGES)
+        editor = session.add_editor(name, JAVA_PACKAGES)
+
+        def recording_load(text, load=editor.load_events, feed=feeds[name]):
+            feed.append(text)
+            return load(text)
+
+        editor.load_events = recording_load
     import random as _random
 
     rng = _random.Random(13)
     from ces.oracles import random_command_sequence
 
     for index, event in enumerate(random_command_sequence(30, 99)):
-        session.submit(rng.choice(names), event)
+        name = rng.choice(names)
+        applied = session.submit(name, event)
+        if applied is not None:
+            feeds[name].append(encode([applied]))
         if index % 7 == 6:
             session.flush()
     session.drain()
+    assert sum(map(len, feeds.values())) > 30
 
     twins = {name: Editor(JAVA_PACKAGES) for name in names}
-    feeds = {name: [text for owner, text in session.log if owner == name] for name in names}
 
     def consume(name):
         for text in feeds[name]:
@@ -248,6 +280,10 @@ def test_script_strategy_directive():
         "channel reorder=maybe\n",
         "channel drop\n",
         "channel speed=1\n",
+        "channel duplicate=1\n",
+        "channel drop=abc\n",
+        "channel drop=-0.5\n",
+        "channel duplicate=nan\n",
         ALICE_BOB_SCRIPT + "channel drop=0.1\n",
         ALICE_BOB_SCRIPT + "editor carol javapackages\n",
     ],
