@@ -237,41 +237,42 @@ class Editor:
     def parse(self, objects) -> int:
         """Rebuild commands from (possibly directly edited) model objects.
 
-        Registers the objects so that re-executed commands reuse them, offers
-        each object to every handler's parse, and executes each recovered
-        event only when it differs from the stored one in some field other
-        than time; unchanged increments keep their original timestamps.  A
-        recovered event the stored one outranks is ignored, and the stored
-        one runs again to put its increment back; a stored tombstone first
-        has the recovered event's increment removed (detached and demoted
-        to a frame).  Returns the number of new or updated commands.
+        Adopts the objects into the registry (see
+        :meth:`ObjectRegistry.register_parsed`) so that re-executed commands
+        reuse them; an adopted instance replaces the held one even when its
+        commands are unchanged, and stays adopted if the parse raises.
+        Offers each object to every handler's parse, and executes each
+        recovered event only when it differs from the stored one in some
+        field other than time; unchanged increments keep their original
+        timestamps.  A recovered event the stored one outranks is ignored,
+        and the stored one runs again to put its increment back; a stored
+        tombstone first has the recovered event's increment removed
+        (detached and demoted to a frame).  Returns the number of new or
+        updated commands.
         """
         objects = list(objects)
         for obj in objects:
             self.registry.register_parsed(obj)
-        try:
-            collected: list[Event] = []
-            for obj in objects:
-                for handler in self.handlers.values():
-                    found = handler.parse(obj)
-                    if found is not None:
-                        collected.append(found)
-            changed = 0
-            for event in collected:
-                scope = self.handlers[event.type_tag].store_scope
-                old = self.active_commands.get((scope, event.id))
-                if old is None or not equals_but_time(old, event):
-                    if self.execute(event) is not None:
-                        changed += 1
-                    else:
-                        if old.type_tag == RemoveCommandHandler.type_tag:
-                            # Re-running a tombstone undoes nothing the
-                            # direct edit made, so take that increment out.
-                            self.handlers[event.type_tag].remove(self, event)
-                        self.handlers[old.type_tag].run(self, old)
-            return changed
-        finally:
-            self.registry.parsed_objects.clear()
+        collected: list[Event] = []
+        for obj in objects:
+            for handler in self.handlers.values():
+                found = handler.parse(obj)
+                if found is not None:
+                    collected.append(found)
+        changed = 0
+        for event in collected:
+            scope = self.handlers[event.type_tag].store_scope
+            old = self.active_commands.get((scope, event.id))
+            if old is None or not equals_but_time(old, event):
+                if self.execute(event) is not None:
+                    changed += 1
+                else:
+                    if old.type_tag == RemoveCommandHandler.type_tag:
+                        # Re-running a tombstone undoes nothing the direct
+                        # edit made, so take that increment out.
+                        self.handlers[event.type_tag].remove(self, event)
+                    self.handlers[old.type_tag].run(self, old)
+        return changed
 
     # -- exchange ----------------------------------------------------------------
 

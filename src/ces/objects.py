@@ -1,11 +1,11 @@
 """The in-memory model: id-bearing objects, bidirectional links, and the
-three-map registry that governs object identity and lifecycle.
+two-map registry that governs object identity and lifecycle.
 
-Objects live in one of three maps.  ``model_objects`` holds fully
-initialized objects, ``frames`` holds context-only stand-ins created because
-some command referenced their id before (or without) a creating command,
-and ``parsed_objects`` temporarily shadows both during a parse pass so that
-directly edited instances are reused instead of duplicated.
+Each known id lives in exactly one of two maps.  ``model_objects`` holds
+fully initialized objects; ``frames`` holds context-only stand-ins: ids some
+command referenced before (or without) a creating command, and directly
+created objects a mutation touched.  A parse pass adopts the directly edited
+instances into these maps, so they are reused instead of duplicated.
 """
 
 from __future__ import annotations
@@ -101,24 +101,24 @@ class AssociationSchema:
 
 
 class ObjectRegistry:
-    """Three id-keyed maps plus a dirty set fed by every mutation.
+    """Two disjoint id-keyed maps plus a change set fed by every mutation.
 
     All attribute and link edits go through the registry so that both link
     ends stay consistent and changed objects are tracked for incremental
-    parsing.
+    parsing.  A touched object whose id no map holds joins the frames.
     """
 
     def __init__(self, schema: AssociationSchema):
         self.schema = schema
         self.model_objects: dict[str, ModelObject] = {}
         self.frames: dict[str, ModelObject] = {}
-        self.parsed_objects: dict[str, ModelObject] = {}
-        self._changed: dict[str, ModelObject] = {}
+        # Changed ids in first-mutation order (a dict used as an ordered set).
+        self._changed: dict[str, None] = {}
 
     # -- lookup and lifecycle -------------------------------------------------
 
     def find(self, id: str) -> ModelObject | None:
-        return self.parsed_objects.get(id) or self.model_objects.get(id) or self.frames.get(id)
+        return self.model_objects.get(id) or self.frames.get(id)
 
     def _checked(self, obj: ModelObject, object_type: str) -> ModelObject:
         if obj.object_type != object_type:
@@ -130,8 +130,8 @@ class ObjectRegistry:
     def get_object_frame(self, object_type: str, id: str) -> ModelObject:
         """Fetch the object for a context reference, creating a frame on miss.
 
-        Lookup order is parsed objects, model objects, frames.  Never
-        promotes; a fresh object lands in ``frames``.
+        Finds the id in ``model_objects`` or ``frames``.  Never promotes; a
+        fresh object lands in ``frames``.
         """
         if not id:
             raise UnknownObjectError("object id must be non-empty")
@@ -144,7 +144,7 @@ class ObjectRegistry:
 
     def get_or_create(self, object_type: str, id: str) -> ModelObject:
         """Fetch or create the object as a full model object (promoting a
-        frame or a parsed instance if one exists)."""
+        frame if one exists)."""
         if not id:
             raise UnknownObjectError("object id must be non-empty")
         obj = self._checked(self.find(id) or ModelObject(object_type, id), object_type)
@@ -166,47 +166,43 @@ class ObjectRegistry:
     def remove_model_object(self, id: str) -> ModelObject | None:
         """Demote a model object to a frame; it may still serve as context.
 
-        A parsed object that no other map holds (one a direct edit created)
-        is demoted the same way.  Returns whatever the frames map now holds
-        for the id, or None if the id was never known.
+        Returns whatever the frames map now holds for the id, or None if the
+        id was never known.
         """
         obj = self.model_objects.pop(id, None)
-        if obj is None and id not in self.frames:
-            obj = self.parsed_objects.get(id)
         if obj is not None:
             self.frames[id] = obj
         return self.frames.get(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
-        self.parsed_objects[obj.id] = obj
+        """Adopt a directly edited instance: it replaces the model object of
+        its id, or else the frame of its id, or else joins the frames."""
+        if obj.id in self.model_objects:
+            self.model_objects[obj.id] = obj
+        else:
+            self.frames[obj.id] = obj
 
     def copy(self) -> "ObjectRegistry":
         """A structural copy sharing the schema: one new object per object,
-        each with its own attribute and link dicts and link sets.  An object
-        held by several maps (the change set included) is copied once, so
-        the copy's maps share objects exactly where this registry's do."""
-        twins: dict[int, ModelObject] = {}
+        each with its own attribute and link dicts and link sets (the maps
+        are disjoint, so no object is copied twice), and the change set."""
 
-        def twin_of(obj: ModelObject) -> ModelObject:
-            twin = twins.get(id(obj))
-            if twin is None:
-                twin = twins[id(obj)] = ModelObject(
+        def table(objects: dict[str, ModelObject]) -> dict[str, ModelObject]:
+            return {
+                key: ModelObject(
                     obj.object_type,
                     obj.id,
                     dict(obj.attributes),
                     dict(obj.to_one),
                     {link: set(ids) for link, ids in obj.to_many.items()},
                 )
-            return twin
-
-        def table(objects: dict[str, ModelObject]) -> dict[str, ModelObject]:
-            return {key: twin_of(obj) for key, obj in objects.items()}
+                for key, obj in objects.items()
+            }
 
         copied = ObjectRegistry(self.schema)
         copied.model_objects = table(self.model_objects)
         copied.frames = table(self.frames)
-        copied.parsed_objects = table(self.parsed_objects)
-        copied._changed = table(self._changed)
+        copied._changed = dict(self._changed)
         return copied
 
     # -- change tracking ------------------------------------------------------
@@ -216,13 +212,16 @@ class ObjectRegistry:
         return set(self._changed)
 
     def changed_objects(self) -> list[ModelObject]:
-        return list(self._changed.values())
+        """The objects of the changed ids, in first-mutation order."""
+        return [self.find(id) for id in self._changed]
 
     def clear_changes(self) -> None:
         self._changed.clear()
 
     def _mark(self, obj: ModelObject) -> None:
-        self._changed[obj.id] = obj
+        if obj.id not in self.model_objects:
+            self.frames.setdefault(obj.id, obj)
+        self._changed[obj.id] = None
 
     # -- attribute and link mutation -------------------------------------------
 
@@ -268,7 +267,7 @@ class ObjectRegistry:
         if old_id == new_id:
             return
         if old_id is not None:
-            old_obj = self.find(old_id) or self._changed.get(old_id)
+            old_obj = self.find(old_id)
             if old_obj is not None:
                 self._discard(old_obj, end.other_name, obj.id)
                 self._mark(old_obj)
@@ -322,9 +321,7 @@ class ObjectRegistry:
         """Full graph scan: every link must be declared, typed correctly, and
         mirrored on its reverse end."""
         problems = []
-        everything: dict[str, ModelObject] = {}
-        for table in (self.frames, self.model_objects, self.parsed_objects):
-            everything.update(table)
+        everything = {**self.frames, **self.model_objects}
         for obj in everything.values():
             entries = [(k, (v,)) for k, v in obj.to_one.items()]
             entries += [(k, tuple(sorted(v))) for k, v in obj.to_many.items()]

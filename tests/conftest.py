@@ -18,9 +18,9 @@ def start_events() -> list[Event]:
 
 
 def snapshot(editor: Editor):
-    """Copies of the registry's three maps, its changed ids and the store."""
+    """Copies of the registry's two maps, its changed ids and the store."""
     registry = editor.registry
-    maps = (registry.model_objects, registry.frames, registry.parsed_objects)
+    maps = (registry.model_objects, registry.frames)
     return copy.deepcopy((maps, registry.changed_ids, editor.active_commands))
 
 

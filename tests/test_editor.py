@@ -368,7 +368,7 @@ def test_full_model_parse_changes_nothing(packages_editor):
     changed = editor.parse(list(editor.registry.model_objects.values()))
     assert changed == 0
     assert editor.active_commands == before
-    assert editor.registry.parsed_objects == {}
+    assert editor.registry.frames == {}
 
 
 def test_export_into_fresh_editor_then_parse_changes_nothing(packages_editor):
@@ -518,6 +518,23 @@ def test_parse_over_a_winning_tombstone_demotes_a_new_container_its_leaf_referen
     assert model_diff(registry, replayed.registry).differences == []
 
 
+def test_parse_adopts_edited_copies_of_known_objects():
+    # org2 is an edited copy of org; the reverse link new's parse makes
+    # must land on the instance the registry keeps.
+    editor = Editor(JAVA_PACKAGES)
+    editor.execute(Event("HaveRoot", id="org", time=T[0]))
+    editor.execute(Event("HaveSubUnit", id="fulib", time=T[1], params={"parent": "org"}))
+    org2 = ModelObject("JavaPackage", "org", to_many={"subPackages": {"fulib", "new"}})
+    new = ModelObject("JavaPackage", "new", to_one={"pPack": "org"})
+    assert editor.parse([org2, new]) == 1
+    registry = editor.registry
+    assert registry.consistency_violations() == []
+    assert registry.model_objects["org"] is org2
+    assert registry.model_objects["new"] is new
+    replayed = replay(editor.active_commands.values(), JAVA_PACKAGES)
+    assert model_diff(registry, replayed.registry).differences == []
+
+
 def test_parse_is_idempotent_after_one_pass():
     editor = Editor(JAVA_PACKAGES)
     editor.execute(Event("HaveRoot", id="org", time=T[0]))
@@ -550,8 +567,8 @@ def _containers(editor: Editor) -> dict[int, object]:
     """Every object, dict and set an editor's registry and store hold, by
     identity."""
     registry = editor.registry
-    found: list[object] = [editor.active_commands]
-    for table in (registry.model_objects, registry.frames, registry.parsed_objects, registry._changed):
+    found: list[object] = [editor.active_commands, registry._changed]
+    for table in (registry.model_objects, registry.frames):
         found.append(table)
         for obj in table.values():
             found += [obj, obj.attributes, obj.to_one, obj.to_many, *obj.to_many.values()]

@@ -19,7 +19,7 @@ from ces.oracles import random_command_sequence
 
 def snapshot(registry):
     state = {}
-    for table in (registry.model_objects, registry.frames, registry.parsed_objects):
+    for table in (registry.model_objects, registry.frames):
         for id, obj in table.items():
             state[id] = (
                 dict(obj.attributes),

@@ -42,13 +42,19 @@ def test_frame_miss_creates_context_stand_in(registry):
     assert "serv" not in registry.model_objects
 
 
-def test_parsed_objects_shadow_model_objects(registry):
+def test_register_parsed_adopts_the_edited_instance(registry):
     stale = registry.get_or_create("JavaPackage", "org")
     edited = ModelObject("JavaPackage", "org")
     registry.register_parsed(edited)
     assert registry.get_object_frame("JavaPackage", "org") is edited
     assert registry.get_or_create("JavaPackage", "org") is edited
     assert registry.model_objects["org"] is edited is not stale
+    # An instance of an id no model object holds replaces or joins the frames.
+    registry.get_object_frame("JavaPackage", "serv")
+    for id in ("serv", "com"):
+        instance = ModelObject("JavaPackage", id)
+        registry.register_parsed(instance)
+        assert registry.frames[id] is instance and id not in registry.model_objects
 
 
 def test_get_or_create_promotes_existing_frame(registry):
@@ -129,6 +135,18 @@ def test_clearing_a_link_to_an_unregistered_object_clears_its_reverse(registry):
     registry.set_link(p1, "pPack", None)
     assert "pPack" not in p1.to_one
     assert p0.to_many == {}
+
+
+def test_a_linked_free_object_stays_findable_after_clear_changes(registry):
+    # Once the change set is cleared, only the maps can name p0.
+    p1 = registry.get_or_create("JavaPackage", "p1")
+    p0 = ModelObject("JavaPackage", "p0")
+    registry.set_link(p1, "pPack", p0)
+    registry.clear_changes()
+    registry.set_link(p1, "pPack", None)
+    assert p0.to_many == {}
+    assert registry.frames["p0"] is p0
+    assert registry.consistency_violations() == []
 
 
 def test_reassignment_moves_membership_between_parents(registry):
@@ -216,6 +234,21 @@ def test_mutators_mark_every_touched_object(registry):
     registry.clear_changes()
     registry.set_attribute(org, "note", "x")
     assert registry.changed_ids == {"org"}
+
+
+def test_changed_objects_keep_first_mutation_order(registry):
+    # parse stamps the recovered events in this order, so it must not
+    # depend on string hashing.
+    ids = [f"p{(i * 7) % 20}" for i in range(20)]
+    objs = [registry.get_or_create("JavaPackage", id) for id in ids]
+    for obj in objs:
+        registry.set_attribute(obj, "note", "x")
+    for obj in reversed(objs):
+        registry.set_attribute(obj, "note", "y")
+    fresh = ModelObject("JavaClass", "C")
+    registry.set_link(fresh, "pack", objs[0])
+    assert [obj.id for obj in registry.changed_objects()] == ids + ["C"]
+    assert all(a is b for a, b in zip(registry.changed_objects(), objs + [fresh]))
 
 
 def test_unchanged_writes_do_not_mark(registry):
@@ -478,7 +511,9 @@ def link_ops(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["set", "unset", "reparent", "leaf", "remove"]),
+                st.sampled_from(
+                    ["set", "unset", "reparent", "leaf", "remove", "fresh", "clear", "adopt"]
+                ),
                 st.sampled_from(["org", "fulib", "serv", "com"]),
                 st.sampled_from(["org", "fulib", "serv", "com"]),
             ),
@@ -511,4 +546,14 @@ def test_bidirectional_consistency_holds_after_any_operation_sequence(ops):
             registry.set_link(leaf, "pack", registry.get_object_frame("JavaPackage", y))
         elif op == "remove":
             registry.remove_model_object(x)
+        elif op == "fresh" and x != y and registry.find(y) is None:
+            # a directly created target that no map holds yet
+            fresh = ModelObject("JavaPackage", y)
+            registry.set_link(registry.get_or_create("JavaPackage", x), "pPack", fresh)
+        elif op == "clear":
+            registry.clear_changes()
+        elif op == "adopt" and registry.find(x) is not None:
+            registry.register_parsed(registry.copy().find(x))
     assert registry.consistency_violations() == []
+    assert not registry.model_objects.keys() & registry.frames.keys()
+    assert all(registry.find(id) is not None for id in registry.changed_ids)
