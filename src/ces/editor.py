@@ -237,13 +237,12 @@ class Editor:
     def parse(self, objects) -> int:
         """Rebuild commands from (possibly directly edited) model objects.
 
-        Adopts the objects into the registry (see
-        :meth:`ObjectRegistry.register_parsed`) so that re-executed commands
-        reuse them; an adopted instance replaces the held one even when its
-        commands are unchanged, and stays adopted if the parse raises.
-        Offers each object to every handler's parse, and executes each
-        recovered event only when it differs from the stored one in some
-        field other than time; unchanged increments keep their original
+        Offers each object to every handler's parse, then adopts the objects
+        (see :meth:`ObjectRegistry.register_parsed`): an edited instance
+        replaces the held one even when its commands are unchanged, takes
+        over the held state, and stays adopted if a later one raises.  Runs
+        each recovered event only when it differs from the stored one in
+        some field other than time, so unchanged increments keep their
         timestamps.  A recovered event the stored one outranks is ignored,
         and the stored one runs again to put its increment back; a stored
         tombstone first has the recovered event's increment removed
@@ -251,14 +250,14 @@ class Editor:
         updated commands.
         """
         objects = list(objects)
-        for obj in objects:
-            self.registry.register_parsed(obj)
         collected: list[Event] = []
         for obj in objects:
             for handler in self.handlers.values():
                 found = handler.parse(obj)
                 if found is not None:
                     collected.append(found)
+        for obj in objects:
+            self.registry.register_parsed(obj)
         changed = 0
         for event in collected:
             scope = self.handlers[event.type_tag].store_scope

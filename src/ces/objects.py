@@ -5,7 +5,8 @@ Each known id lives in exactly one of two maps.  ``model_objects`` holds
 fully initialized objects; ``frames`` holds context-only stand-ins: ids some
 command referenced before (or without) a creating command, and directly
 created objects a mutation touched.  A parse pass adopts the directly edited
-instances into these maps, so they are reused instead of duplicated.
+instances into these maps, so they are reused instead of duplicated; each
+takes over the state held for its id.
 """
 
 from __future__ import annotations
@@ -100,6 +101,17 @@ class AssociationSchema:
         return end
 
 
+def _duplicate(obj: ModelObject) -> ModelObject:
+    """A new object with its own attribute and link dicts and link sets."""
+    return ModelObject(
+        obj.object_type,
+        obj.id,
+        dict(obj.attributes),
+        dict(obj.to_one),
+        {link: set(ids) for link, ids in obj.to_many.items()},
+    )
+
+
 class ObjectRegistry:
     """Two disjoint id-keyed maps plus a change set fed by every mutation.
 
@@ -128,11 +140,8 @@ class ObjectRegistry:
         return obj
 
     def get_object_frame(self, object_type: str, id: str) -> ModelObject:
-        """Fetch the object for a context reference, creating a frame on miss.
-
-        Finds the id in ``model_objects`` or ``frames``.  Never promotes; a
-        fresh object lands in ``frames``.
-        """
+        """Fetch the object for a context reference from either map, never
+        promoting it; a miss creates a frame."""
         if not id:
             raise UnknownObjectError("object id must be non-empty")
         obj = self.find(id)
@@ -164,44 +173,32 @@ class ObjectRegistry:
                 raise TypeConflictError(f"id {id!r} is a {known}, requested {object_type}")
 
     def remove_model_object(self, id: str) -> ModelObject | None:
-        """Demote a model object to a frame; it may still serve as context.
-
-        Returns whatever the frames map now holds for the id, or None if the
-        id was never known.
-        """
+        """Demote a model object to a frame, which may still serve as
+        context; returns the frame of the id, or None if it was never known."""
         obj = self.model_objects.pop(id, None)
         if obj is not None:
             self.frames[id] = obj
         return self.frames.get(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
-        """Adopt a directly edited instance: it replaces the model object of
-        its id, or else the frame of its id, or else joins the frames."""
-        if obj.id in self.model_objects:
-            self.model_objects[obj.id] = obj
-        else:
-            self.frames[obj.id] = obj
+        """Adopt a directly edited instance into the map holding its id, else
+        the frames.  It takes over the held state (bare for a new id), so its
+        edits reach the model only through the commands parsed from it and
+        every link stays two-sided; another type raises TypeConflictError."""
+        held = self.find(obj.id)
+        if held is obj:
+            return
+        state = _duplicate(held) if held else ModelObject(obj.object_type, obj.id)
+        self._checked(state, obj.object_type)
+        obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
+        (self.model_objects if obj.id in self.model_objects else self.frames)[obj.id] = obj
 
     def copy(self) -> "ObjectRegistry":
-        """A structural copy sharing the schema: one new object per object,
-        each with its own attribute and link dicts and link sets (the maps
-        are disjoint, so no object is copied twice), and the change set."""
-
-        def table(objects: dict[str, ModelObject]) -> dict[str, ModelObject]:
-            return {
-                key: ModelObject(
-                    obj.object_type,
-                    obj.id,
-                    dict(obj.attributes),
-                    dict(obj.to_one),
-                    {link: set(ids) for link, ids in obj.to_many.items()},
-                )
-                for key, obj in objects.items()
-            }
-
+        """A structural copy sharing the schema: one new object per object
+        (the maps are disjoint) and the change set."""
         copied = ObjectRegistry(self.schema)
-        copied.model_objects = table(self.model_objects)
-        copied.frames = table(self.frames)
+        copied.model_objects = {k: _duplicate(o) for k, o in self.model_objects.items()}
+        copied.frames = {k: _duplicate(o) for k, o in self.frames.items()}
         copied._changed = dict(self._changed)
         return copied
 

@@ -27,7 +27,13 @@ from ces.editor import (
 from ces.events import DecodeError, OverwriteStrategy, stepping_clock
 from ces.javadoc import FOLDERS
 from ces.javapackages import PACKAGES
-from ces.objects import Association, AssociationSchema, dump_model, model_diff
+from ces.objects import (
+    Association,
+    AssociationSchema,
+    TypeConflictError,
+    dump_model,
+    model_diff,
+)
 from ces.oracles import replay
 
 from conftest import snapshot
@@ -518,21 +524,42 @@ def test_parse_over_a_winning_tombstone_demotes_a_new_container_its_leaf_referen
     assert model_diff(registry, replayed.registry).differences == []
 
 
-def test_parse_adopts_edited_copies_of_known_objects():
-    # org2 is an edited copy of org; the reverse link new's parse makes
-    # must land on the instance the registry keeps.
+@pytest.mark.parametrize(
+    "edits, changed",
+    [
+        # org2 claims new, which new's own parse also does
+        ([("org", {}, {"fulib", "new"}), ("new", {"pPack": "org"}, set())], 1),
+        # org2 drops fulib one-sidedly; fulib's command still holds it
+        ([("org", {}, {"serv"})], 0),
+        # fulib2 moves under serv
+        ([("fulib", {"pPack": "serv"}, set())], 1),
+    ],
+)
+def test_parse_adopts_edited_copies_of_known_objects(edits, changed):
+    # Each copy replaces the instance the registry keeps, and the links the
+    # recovered commands make or keep are two-sided.
     editor = Editor(JAVA_PACKAGES)
     editor.execute(Event("HaveRoot", id="org", time=T[0]))
     editor.execute(Event("HaveSubUnit", id="fulib", time=T[1], params={"parent": "org"}))
-    org2 = ModelObject("JavaPackage", "org", to_many={"subPackages": {"fulib", "new"}})
-    new = ModelObject("JavaPackage", "new", to_one={"pPack": "org"})
-    assert editor.parse([org2, new]) == 1
+    editor.execute(Event("HaveSubUnit", id="serv", time=T[2], params={"parent": "org"}))
+    copies = [
+        ModelObject("JavaPackage", id, to_one=up, to_many={"subPackages": down} if down else {})
+        for id, up, down in edits
+    ]
+    assert editor.parse(copies) == changed
     registry = editor.registry
     assert registry.consistency_violations() == []
-    assert registry.model_objects["org"] is org2
-    assert registry.model_objects["new"] is new
+    assert all(registry.model_objects[copy.id] is copy for copy in copies)
     replayed = replay(editor.active_commands.values(), JAVA_PACKAGES)
     assert model_diff(registry, replayed.registry).differences == []
+
+
+def test_parse_of_an_instance_of_another_type_raises_and_changes_nothing(packages_editor):
+    before = snapshot(packages_editor)
+    with pytest.raises(TypeConflictError):
+        packages_editor.parse([ModelObject("Folder", "org")])
+    assert snapshot(packages_editor) == before
+    assert packages_editor.registry.consistency_violations() == []
 
 
 def test_parse_is_idempotent_after_one_pass():

@@ -44,17 +44,28 @@ def test_frame_miss_creates_context_stand_in(registry):
 
 def test_register_parsed_adopts_the_edited_instance(registry):
     stale = registry.get_or_create("JavaPackage", "org")
-    edited = ModelObject("JavaPackage", "org")
+    registry.set_attribute(stale, "note", "x")
+    registry.set_link(registry.get_or_create("JavaPackage", "fulib"), "pPack", stale)
+    edited = ModelObject("JavaPackage", "org", to_many={"subPackages": {"serv"}})
     registry.register_parsed(edited)
     assert registry.get_object_frame("JavaPackage", "org") is edited
     assert registry.get_or_create("JavaPackage", "org") is edited
     assert registry.model_objects["org"] is edited is not stale
-    # An instance of an id no model object holds replaces or joins the frames.
+    # The adopted instance takes over the held state in dicts of its own.
+    assert (edited.attributes, edited.to_many) == ({"note": "x"}, {"subPackages": {"fulib"}})
+    assert edited.to_many["subPackages"] is not stale.to_many["subPackages"]
+    assert registry.consistency_violations() == []
+    # An instance of an id no model object holds replaces or joins the frames, bare.
     registry.get_object_frame("JavaPackage", "serv")
     for id in ("serv", "com"):
-        instance = ModelObject("JavaPackage", id)
+        instance = ModelObject("JavaPackage", id, to_one={"pPack": "org"})
         registry.register_parsed(instance)
         assert registry.frames[id] is instance and id not in registry.model_objects
+        assert instance.to_one == {}
+    # An instance of another type is refused.
+    with pytest.raises(TypeConflictError):
+        registry.register_parsed(ModelObject("JavaClass", "org"))
+    assert registry.model_objects["org"] is edited
 
 
 def test_get_or_create_promotes_existing_frame(registry):
@@ -128,22 +139,17 @@ def test_unset_link_clears_both_ends(registry):
     assert "subPackages" not in org.to_many
 
 
-def test_clearing_a_link_to_an_unregistered_object_clears_its_reverse(registry):
+@pytest.mark.parametrize("clear", [False, True])
+def test_clearing_a_link_to_an_unregistered_object_clears_its_reverse(registry, clear):
+    # p0 joins the frames at the first set_link; once the change set is
+    # cleared, only the maps can name it.
     p1 = registry.get_or_create("JavaPackage", "p1")
-    p0 = ModelObject("JavaPackage", "p0")  # direct edit, in no map
+    p0 = ModelObject("JavaPackage", "p0")  # direct edit, in no map yet
     registry.set_link(p1, "pPack", p0)
+    if clear:
+        registry.clear_changes()
     registry.set_link(p1, "pPack", None)
     assert "pPack" not in p1.to_one
-    assert p0.to_many == {}
-
-
-def test_a_linked_free_object_stays_findable_after_clear_changes(registry):
-    # Once the change set is cleared, only the maps can name p0.
-    p1 = registry.get_or_create("JavaPackage", "p1")
-    p0 = ModelObject("JavaPackage", "p0")
-    registry.set_link(p1, "pPack", p0)
-    registry.clear_changes()
-    registry.set_link(p1, "pPack", None)
     assert p0.to_many == {}
     assert registry.frames["p0"] is p0
     assert registry.consistency_violations() == []
@@ -512,7 +518,19 @@ def link_ops(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["set", "unset", "reparent", "leaf", "remove", "fresh", "clear", "adopt"]
+                    [
+                        "set",
+                        "unset",
+                        "reparent",
+                        "leaf",
+                        "remove",
+                        "fresh",
+                        "clear",
+                        "adopt",
+                        "adopt_bare",
+                        "adopt_linked",
+                        "adopt_foreign",
+                    ]
                 ),
                 st.sampled_from(["org", "fulib", "serv", "com"]),
                 st.sampled_from(["org", "fulib", "serv", "com"]),
@@ -552,8 +570,22 @@ def test_bidirectional_consistency_holds_after_any_operation_sequence(ops):
             registry.set_link(registry.get_or_create("JavaPackage", x), "pPack", fresh)
         elif op == "clear":
             registry.clear_changes()
-        elif op == "adopt" and registry.find(x) is not None:
-            registry.register_parsed(registry.copy().find(x))
+        elif op.startswith("adopt") and registry.find(x) is not None:
+            # an edited copy: structural, bare (every link dropped), with a
+            # one-sided link added, or of another type
+            held = registry.find(x)
+            if op == "adopt_foreign":
+                with pytest.raises(TypeConflictError):
+                    registry.register_parsed(ModelObject("JavaClass", x))
+                assert registry.find(x) is held
+                continue
+            edited = registry.copy().find(x)
+            if op == "adopt_bare":
+                edited = ModelObject("JavaPackage", x)
+            elif op == "adopt_linked" and x != y:
+                edited.to_one["pPack"] = y
+            registry.register_parsed(edited)
+            assert registry.find(x) is edited
     assert registry.consistency_violations() == []
     assert not registry.model_objects.keys() & registry.frames.keys()
     assert all(registry.find(id) is not None for id in registry.changed_ids)
