@@ -12,6 +12,7 @@ import random
 import sys
 from pathlib import Path
 
+from .editor import text_digest
 from .events import CesError, OverwriteStrategy, decode
 from .javadoc import JAVA_DOC
 from .javapackages import JAVA_PACKAGES
@@ -50,9 +51,10 @@ def cmd_sync(args) -> int:
     source = replay(decode(_read(args.infile)), DOMAINS[args.from_domain], strategy=args.strategy)
     exported = source.export_active(_parse_filter(args.filter))
     target = replay(decode(exported), DOMAINS[args.to_domain], strategy=args.strategy)
-    Path(args.outfile).write_text(target.export_active(frozenset()), encoding="utf-8")
+    store = target.export_active(frozenset())
+    Path(args.outfile).write_text(store, encoding="utf-8")
     print(dump_model(target.registry), end="")
-    print(f"active-digest: {target.digest(frozenset())}")
+    print(f"active-digest: {text_digest(store)}")
     return 0
 
 
@@ -88,14 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ces", description="Commutative event sourcing model synchronization"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    strategies = {s.value: s for s in OverwriteStrategy}
 
     def common(p, domain=True):
         if domain:
             p.add_argument("--domain", choices=sorted(DOMAINS), required=True)
         p.add_argument(
             "--strategy",
-            type=OverwriteStrategy,
-            choices=list(OverwriteStrategy),
+            # A known value becomes its member; choices refuses any other.
+            type=lambda raw: strategies.get(raw, raw),
+            choices=list(strategies),
             default=OverwriteStrategy.LAST_EDIT_WINS,
         )
 

@@ -26,6 +26,11 @@ from .events import (
 from .objects import AssociationSchema, ModelObject, ObjectRegistry
 
 
+def text_digest(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of the UTF-8 text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 class UnknownCommandError(CesError):
     pass
 
@@ -240,7 +245,9 @@ class Editor:
         Offers each object to every handler's parse, then adopts the objects
         (see :meth:`ObjectRegistry.register_parsed`): an edited instance
         replaces the held one even when its commands are unchanged, takes
-        over the held state, and stays adopted if a later one raises.  Runs
+        over the held state, and stays adopted if a later one raises.  An
+        instance of an unknown id is adopted only when a command was
+        recovered from it, so no parse leaves a bare frame behind.  Runs
         each recovered event only when it differs from the stored one in
         some field other than time, so unchanged increments keep their
         timestamps.  A recovered event the stored one outranks is ignored,
@@ -249,14 +256,17 @@ class Editor:
         (detached and demoted to a frame).  Returns the number of new or
         updated commands.
         """
-        objects = list(objects)
         collected: list[Event] = []
+        adopted: list[ModelObject] = []
         for obj in objects:
+            recovered = len(collected)
             for handler in self.handlers.values():
                 found = handler.parse(obj)
                 if found is not None:
                     collected.append(found)
-        for obj in objects:
+            if len(collected) > recovered or self.registry.find(obj.id) is not None:
+                adopted.append(obj)
+        for obj in adopted:
             self.registry.register_parsed(obj)
         changed = 0
         for event in collected:
@@ -283,8 +293,8 @@ class Editor:
         return encode(events)
 
     def digest(self, sync_filter: frozenset[str] | None = None) -> str:
-        """The first 16 hex digits of the SHA-256 of :meth:`export_active`."""
-        return hashlib.sha256(self.export_active(sync_filter).encode("utf-8")).hexdigest()[:16]
+        """The :func:`text_digest` of :meth:`export_active`."""
+        return text_digest(self.export_active(sync_filter))
 
     def get_active(self, id: str, scope: str = "") -> Event | None:
         return self.active_commands.get((scope, id))

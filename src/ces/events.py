@@ -285,16 +285,28 @@ def _parse_value(raw: str, line: int) -> str:
     raise DecodeError(line, "unterminated quoted value")
 
 
-# One entry line: "- " opens a block, "  " continues it; then key, value.
-_ENTRY_RE = re.compile(rf"(- |  )({_KEY_RE.pattern}): ?([^{_CONTROLS}]*)")
+# Every line of a text is exactly one match, in order: an entry line ("- "
+# opens a block, "  " continues it; then key and value up to the line break),
+# or else, in the last group, any other line whole.
+_LINE_RE = re.compile(
+    rf"^(?:(- |  )({_KEY_RE.pattern}): ?([^{_CONTROLS}\n]*)$|(.*))", re.MULTILINE
+)
 
 
 def _finish(fields: dict[str, str], line: int) -> Event:
     tag = fields.pop("command")
-    try:
-        return Event(tag, id=fields.pop("id", ""), time=fields.pop("time", ""), params=fields)
-    except ValueError as exc:
-        raise DecodeError(line, str(exc)) from None
+    if not _KEY_RE.fullmatch(tag):
+        raise DecodeError(line, f"invalid event type tag {tag!r}")
+    # The checks of Event.__post_init__ hold already, so the event is built
+    # without them and takes the block's own dict as its params: every param
+    # key matched _KEY_RE in _LINE_RE, "command", "id" and "time" were popped
+    # or refused as duplicate keys, and every value is a str.
+    event = object.__new__(Event)
+    object.__setattr__(event, "type_tag", tag)
+    object.__setattr__(event, "id", fields.pop("id", ""))
+    object.__setattr__(event, "time", fields.pop("time", ""))
+    object.__setattr__(event, "params", fields)
+    return event
 
 
 def decode(text: str) -> list[Event]:
@@ -308,23 +320,24 @@ def decode(text: str) -> list[Event]:
     events: list[Event] = []
     fields: dict[str, str] | None = None
     block_line = 0
-    for lineno, line in enumerate(text.split("\n"), 1):
-        if line.endswith("\r"):
+    for lineno, match in enumerate(_LINE_RE.finditer(text), 1):
+        prefix, key, value, line = match.groups()
+        if prefix is None:
             line = line.rstrip("\r")
-        match = _ENTRY_RE.fullmatch(line)
-        if match is None:
             bad = _UNSUPPORTED.search(line)
             if bad is not None:
                 raise DecodeError(lineno, f"unsupported control character {bad.group()!r}")
             if not line.strip():
                 continue
-        if fields is None and line.startswith("  ") and not line.startswith("   "):
-            raise DecodeError(lineno, "entry outside of an event block")
-        if match is None:
             if line.startswith(("- ", "  ")) and not line.startswith("   "):
+                if fields is None and line.startswith("  "):
+                    raise DecodeError(lineno, "entry outside of an event block")
                 raise DecodeError(lineno, f"expected 'key: value', got {line[2:]!r}")
             raise DecodeError(lineno, f"unrecognized line {line!r}")
-        prefix, key, value = match.groups()
+        if fields is None and prefix == "  ":
+            raise DecodeError(lineno, "entry outside of an event block")
+        if value.endswith("\r"):
+            value = value.rstrip("\r")
         if value.startswith('"'):
             value = _parse_value(value, lineno)
         if prefix == "- ":

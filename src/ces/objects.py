@@ -240,8 +240,10 @@ class ObjectRegistry:
             found = self.find(target)
             if found is None:
                 raise UnknownObjectError(f"unknown object id {target!r}")
-            target = found
-        return self._checked(target, expected_type)
+        else:
+            # A copy of a known object stands for the instance held for its id.
+            found = self.find(self._checked(target, expected_type).id) or target
+        return self._checked(found, expected_type)
 
     def _discard(self, holder: ModelObject, link: str, id: str) -> None:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""

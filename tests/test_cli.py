@@ -216,6 +216,22 @@ def test_usage_errors_exit_two(capsys, start_file):
     assert exit_info.value.code == 2
 
 
+def test_strategy_choices_are_the_accepted_values(capsys, start_file):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replay", "--help"])
+    assert exit_info.value.code == 0
+    assert "{last-edit-wins,first-edit-wins,highest-version-wins}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replay", "--domain", "javapackages", "--in", start_file, "--strategy", "lww"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'lww'" in capsys.readouterr().err
+    code, _, _ = run_cli(
+        capsys, "replay", "--domain", "javapackages", "--in", start_file,
+        "--strategy", "first-edit-wins",
+    )
+    assert code == 0
+
+
 def test_format_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.ces"
     for text in (

@@ -562,6 +562,25 @@ def test_parse_of_an_instance_of_another_type_raises_and_changes_nothing(package
     assert packages_editor.registry.consistency_violations() == []
 
 
+def test_parse_adopts_no_instance_of_an_unknown_id_without_commands(packages_editor):
+    # No packages handler recovers a command from a Folder.
+    before = packages_editor.clone()
+    frames = dict(packages_editor.registry.frames)
+    assert packages_editor.parse([ModelObject("Folder", "zzz")]) == 0
+    assert packages_editor.registry.frames == frames
+    assert model_diff(before.registry, packages_editor.registry).warnings == []
+
+
+def test_linking_to_a_copy_of_a_known_object_links_the_held_one():
+    editor = Editor(JAVA_PACKAGES)
+    editor.execute(Event("HaveRoot", id="org", time=T[0]))
+    editor.execute(Event("HaveRoot", id="p1", time=T[1]))
+    registry = editor.registry
+    registry.set_link(registry.find("p1"), "pPack", ModelObject("JavaPackage", "org"))
+    assert registry.consistency_violations() == []
+    assert registry.find("org").to_many == {"subPackages": {"p1"}}
+
+
 def test_parse_is_idempotent_after_one_pass():
     editor = Editor(JAVA_PACKAGES)
     editor.execute(Event("HaveRoot", id="org", time=T[0]))

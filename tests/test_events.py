@@ -494,6 +494,19 @@ _soup_block = st.builds(
 _soup_ending = st.sampled_from(["\n", "\r\n"])
 
 
+def _assert_built_as_by_the_constructor(outcome):
+    """Decoded events equal, and hash like, the checked constructor's, and
+    each holds a plain dict of its own as params."""
+    if outcome[0] != "ok":
+        return
+    events = outcome[1]
+    for e in events:
+        built = Event(e.type_tag, e.id, e.time, dict(e.params))
+        assert e == built and hash(e) == hash(built)
+        assert type(e.params) is dict
+    assert len({id(e.params) for e in events}) == len(events)
+
+
 @settings(max_examples=400)
 @given(st.lists(_soup_block, max_size=4), st.data())
 def test_decode_matches_the_reference_on_line_soup(blocks, data):
@@ -502,7 +515,9 @@ def test_decode_matches_the_reference_on_line_soup(blocks, data):
     text = "".join(line + ending for line, ending in zip(lines, endings))
     if lines and data.draw(st.booleans()):
         text = text[: -len(endings[-1])]  # no break after the last line
-    assert _outcome(decode, text) == _outcome(_ref_decode, text)
+    outcome = _outcome(decode, text)
+    assert outcome == _outcome(_ref_decode, text)
+    _assert_built_as_by_the_constructor(outcome)
 
 
 @given(st.lists(_events, max_size=4), st.booleans())
@@ -512,7 +527,26 @@ def test_decode_matches_the_reference_on_encoded_text(events, crlf):
         text = text.replace("\n", "\r\n")
     if any(c in text for c in "\x85\u2028\u2029\x0b\x0c\x1c\x1d\x1e"):
         return  # the reference splits these; see test_codec_round_trip_identities
-    assert _outcome(decode, text) == _outcome(_ref_decode, text)
+    outcome = _outcome(decode, text)
+    assert outcome == _outcome(_ref_decode, text)
+    _assert_built_as_by_the_constructor(outcome)
+
+
+def test_decode_names_a_malformed_line_deep_in_a_large_crlf_text():
+    events = [
+        Event("HaveLeaf", id=f"C{i}", time=T0, params={"parent": f"p{i % 50}", "vTag": "1.0"})
+        for i in range(2000)
+    ]
+    lines = []
+    for event in events:
+        lines += encode([event]).splitlines() + [""]  # five entries, then a blank line
+    assert decode("\r\n".join(lines) + "\r\n") == events
+    bad = 6 * 1500 + 2  # the third line of block 1501
+    lines.insert(bad, "  vTag 2.0")
+    with pytest.raises(DecodeError) as info:
+        decode("\r\n".join(lines) + "\r\n")
+    assert info.value.line == bad + 1
+    assert str(info.value) == f"line {bad + 1}: expected 'key: value', got 'vTag 2.0'"
 
 
 # -- decode of arbitrary text --------------------------------------------------------
