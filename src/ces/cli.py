@@ -49,8 +49,8 @@ def cmd_replay(args) -> int:
 
 def cmd_sync(args) -> int:
     source = replay(decode(_read(args.infile)), DOMAINS[args.from_domain], strategy=args.strategy)
-    exported = source.export_active(_parse_filter(args.filter))
-    target = replay(decode(exported), DOMAINS[args.to_domain], strategy=args.strategy)
+    exported = source.active_events(_parse_filter(args.filter))
+    target = replay(exported, DOMAINS[args.to_domain], strategy=args.strategy)
     store = target.export_active(frozenset())
     Path(args.outfile).write_text(store, encoding="utf-8")
     print(dump_model(target.registry), end="")

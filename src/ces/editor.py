@@ -215,17 +215,17 @@ class Editor:
             sync_filter = self.sync_filter
         return not sync_filter or type_tag == "RemoveCommand" or type_tag in sync_filter
 
-    def load_events(self, text: str) -> int:
-        """Decode and execute events in textual order (order is immaterial
-        for commutative sets); returns the number applied.
+    def load(self, events) -> int:
+        """Execute decoded events in order (order is immaterial for
+        commutative sets); returns the number applied.
 
         Events excluded by the sync filter are skipped.  Per-event failures
-        are collected; the rest of the text is still processed, then a
+        are collected; the rest of the events are still processed, then a
         single :class:`LoadError` reports them.
         """
         applied = 0
         failures: list[str] = []
-        for event in decode(text):
+        for event in events:
             if not self._shared(event.type_tag):
                 continue
             try:
@@ -236,6 +236,10 @@ class Editor:
         if failures:
             raise LoadError(failures, applied)
         return applied
+
+    def load_events(self, text: str) -> int:
+        """:meth:`load` the events the text decodes to."""
+        return self.load(decode(text))
 
     # -- parsing ----------------------------------------------------------------
 
@@ -285,12 +289,16 @@ class Editor:
 
     # -- exchange ----------------------------------------------------------------
 
-    def export_active(self, sync_filter: frozenset[str] | None = None) -> str:
+    def active_events(self, sync_filter: frozenset[str] | None = None) -> list[Event]:
         """Active commands restricted to the given filter (default: this
-        editor's own), encoded in deterministic (id, type) order."""
+        editor's own), in deterministic (id, type) order."""
         events = [e for e in self.active_commands.values() if self._shared(e.type_tag, sync_filter)]
         events.sort(key=lambda e: (e.id, e.type_tag))
-        return encode(events)
+        return events
+
+    def export_active(self, sync_filter: frozenset[str] | None = None) -> str:
+        """:meth:`active_events`, encoded."""
+        return encode(self.active_events(sync_filter))
 
     def digest(self, sync_filter: frozenset[str] | None = None) -> str:
         """The :func:`text_digest` of :meth:`export_active`."""

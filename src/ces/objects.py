@@ -117,7 +117,8 @@ class ObjectRegistry:
 
     All attribute and link edits go through the registry so that both link
     ends stay consistent and changed objects are tracked for incremental
-    parsing.  A touched object whose id no map holds joins the frames.
+    parsing.  A mutation edits the instance held for each id it is given,
+    not a copy.  A touched object whose id no map holds joins the frames.
     """
 
     def __init__(self, schema: AssociationSchema):
@@ -225,6 +226,7 @@ class ObjectRegistry:
     def set_attribute(self, obj: ModelObject, name: str, value: str) -> None:
         """Set an attribute; an empty value removes it (absent and empty are
         one canonical state)."""
+        obj = self._held(obj)
         if value:
             if obj.attributes.get(name) != value:
                 obj.attributes[name] = value
@@ -233,6 +235,13 @@ class ObjectRegistry:
             del obj.attributes[name]
             self._mark(obj)
 
+    def _held(self, obj: ModelObject) -> ModelObject:
+        """The instance held for ``obj.id``, else ``obj`` itself."""
+        held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
+        if held is None or held is obj:
+            return obj
+        return self._checked(held, obj.object_type)
+
     def _resolve(self, target: ModelObject | str | None, expected_type: str) -> ModelObject | None:
         if target is None:
             return None
@@ -240,10 +249,8 @@ class ObjectRegistry:
             found = self.find(target)
             if found is None:
                 raise UnknownObjectError(f"unknown object id {target!r}")
-        else:
-            # A copy of a known object stands for the instance held for its id.
-            found = self.find(self._checked(target, expected_type).id) or target
-        return self._checked(found, expected_type)
+            return self._checked(found, expected_type)
+        return self._held(self._checked(target, expected_type))
 
     def _discard(self, holder: ModelObject, link: str, id: str) -> None:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""
@@ -260,6 +267,7 @@ class ObjectRegistry:
         end = self.schema.end_for(obj.object_type, link)
         if end.many:
             raise SchemaError(f"link {link!r} is to-many; use add_to_many")
+        obj = self._held(obj)
         target_obj = self._resolve(target, end.other_type)
         old_id = obj.to_one.get(link)
         new_id = target_obj.id if target_obj is not None else None
@@ -287,6 +295,7 @@ class ObjectRegistry:
         end = self.schema.end_for(obj.object_type, link)
         if not end.many:
             raise SchemaError(f"link {link!r} is to-one; use set_link")
+        obj = self._held(obj)
         target_obj = self._resolve(target, end.other_type)
         if not end.other_many:
             self.set_link(target_obj, end.other_name, obj)
@@ -302,6 +311,7 @@ class ObjectRegistry:
         end = self.schema.end_for(obj.object_type, link)
         if not end.many:
             raise SchemaError(f"link {link!r} is to-one; use set_link")
+        obj = self._held(obj)
         target_obj = self._resolve(target, end.other_type)
         if not end.other_many:
             if target_obj.to_one.get(end.other_name) == obj.id:

@@ -17,6 +17,7 @@ from .events import (
     CesError,
     Event,
     OverwriteStrategy,
+    decode,
     encode,
     shift_timestamp,
     stepping_clock,
@@ -28,13 +29,19 @@ class ScriptError(CesError):
     pass
 
 
+# What a session puts on a channel: the events of one submit, encoded and
+# decoded once.  Events are immutable, so every receiver shares them.
+Message = tuple[Event, ...]
+
+
 class Channel:
     """Simulated transport for one direction between two editors.
 
-    With ``eventual`` on, a dropped message is deferred to a later flush
-    instead of erased, so every submitted event is delivered at least once
-    before the session ends.  A message repeats while a fresh draw falls
-    below ``duplicate``, so that share must stay below 1.
+    The fault model never looks into a message.  With ``eventual`` on, a
+    dropped message is deferred to a later flush instead of erased, so every
+    submitted event is delivered at least once before the session ends.  A
+    message repeats while a fresh draw falls below ``duplicate``, so that
+    share must stay below 1.
     """
 
     def __init__(
@@ -53,15 +60,15 @@ class Channel:
         self.reorder = reorder
         self.eventual = eventual
         self.rng = random.Random(seed)
-        self.in_flight: list[str] = []
+        self.in_flight: list[Message] = []
 
-    def submit(self, text: str) -> None:
-        self.in_flight.append(text)
+    def submit(self, message: Message) -> None:
+        self.in_flight.append(message)
 
-    def flush(self) -> list[str]:
+    def flush(self) -> list[Message]:
         """Deliver what the fault model lets through; defer or discard drops."""
-        delivered: list[str] = []
-        held: list[str] = []
+        delivered: list[Message] = []
+        held: list[Message] = []
         for message in self.in_flight:
             if self.rng.random() < self.drop:
                 if self.eventual:
@@ -75,7 +82,7 @@ class Channel:
         self.in_flight = held
         return delivered
 
-    def drain(self) -> list[str]:
+    def drain(self) -> list[Message]:
         """Deliver everything still in flight, fault-free and in order."""
         delivered, self.in_flight = self.in_flight, []
         return delivered
@@ -108,7 +115,9 @@ class Session:
     """A set of editors joined by a full mesh of unreliable channels.
 
     Editors get deterministic, mutually offset clocks so that a scripted run
-    is reproducible and no two editors ever mint the same timestamp.
+    is reproducible and no two editors ever mint the same timestamp.  Each
+    shared submit is encoded and decoded once, and every receiver loads
+    those same events.
     """
 
     def __init__(
@@ -144,8 +153,8 @@ class Session:
         return editor
 
     def submit(self, name: str, event: Event) -> Event | None:
-        """Execute locally; if applied and shared, put the completed event on
-        the wire to every other editor."""
+        """Execute locally; if applied and shared, put the completed event,
+        encoded and decoded once, on the wire to every other editor."""
         editor = self.editors[name]
         applied = editor.execute(event)
         if applied is None:
@@ -153,23 +162,24 @@ class Session:
             return None
         text = encode([applied])
         if editor._shared(applied.type_tag):
+            message = tuple(decode(text))
             for other in self.editors:
                 if other != name:
-                    self.channels[(name, other)].submit(text)
+                    self.channels[(name, other)].submit(message)
             self.trace.append(f"submit {name}: {applied.type_tag} {applied.id}")
         else:
             self.trace.append(f"submit {name}: local {applied.type_tag} {applied.id}")
         return applied
 
     def _deliver(self, take) -> None:
-        """One delivery round; ``take(channel)`` empties a channel.  Each
-        message is encoded text ending in a newline, so a channel's messages
-        reach their editor as one joined text and one load: a failing event
-        raises only after every other message taken has run."""
+        """One delivery round; ``take(channel)`` empties a channel.  A
+        channel's messages reach their editor as one list of events and one
+        load: a failing event raises only after every other message taken
+        has run."""
         self._flushes += 1
         for (source, target), channel in sorted(self.channels.items()):
             messages = take(channel)
-            applied = self.editors[target].load_events("".join(messages))
+            applied = self.editors[target].load([event for message in messages for event in message])
             self.trace.append(
                 f"flush {self._flushes} {source}->{target}: "
                 f"delivered {len(messages)} applied {applied} held {len(channel.in_flight)}"

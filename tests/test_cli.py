@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from ces import decode, encode
-from ces.cli import main
+from ces.cli import DOMAINS, main
+from ces.editor import text_digest
+from ces.events import OverwriteStrategy
+from ces.objects import dump_model
+from ces.oracles import random_command_sequence, replay
 
 from conftest import start_events
 
@@ -149,6 +153,33 @@ def test_sync_filter_excludes_event_types_from_the_output(capsys, tmp_path):
     assert code == 0
     synced = out_file.read_text(encoding="utf-8")
     assert "HaveContent" not in synced and "HaveLeaf" in synced
+
+
+@pytest.mark.parametrize("strategy", list(OverwriteStrategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("source_domain, target_domain", [("javapackages", "javadoc"), ("javadoc", "javapackages")])
+@pytest.mark.parametrize("sync_filter", [None, "HaveLeaf,HaveRoot"])
+def test_sync_output_is_byte_identical_to_a_hop_through_the_text(
+    capsys, tmp_path, strategy, source_domain, target_domain, sync_filter
+):
+    # The source's active events go to the target directly; encoding them
+    # and decoding that text first must give the same model, store and digest.
+    text = encode(random_command_sequence(60, 7))
+    events_file = tmp_path / "in.ces"
+    events_file.write_text(text, encoding="utf-8")
+    out_file = tmp_path / "synced.ces"
+    argv = ["sync", "--from-domain", source_domain, "--to-domain", target_domain,
+            "--strategy", strategy.value, "--in", str(events_file), "--out", str(out_file)]
+    if sync_filter is not None:
+        argv += ["--filter", sync_filter]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    source = replay(decode(text), DOMAINS[source_domain], strategy=strategy)
+    exported = source.export_active(None if sync_filter is None else frozenset(sync_filter.split(",")))
+    target = replay(decode(exported), DOMAINS[target_domain], strategy=strategy)
+    store = target.export_active(frozenset())
+    assert out_file.read_text(encoding="utf-8") == store
+    assert out == dump_model(target.registry) + f"active-digest: {text_digest(store)}\n"
 
 
 # -- diff ---------------------------------------------------------------------------

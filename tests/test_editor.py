@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ces import (
     Editor,
@@ -204,6 +205,47 @@ def test_malformed_time_is_rejected_before_anything_changes(packages_editor):
 def test_load_propagates_decode_errors():
     with pytest.raises(DecodeError):
         Editor(JAVA_PACKAGES).load_events("garbage\n")
+
+
+# One id pool for containers and leaves, so ids meet across types, and a
+# parent that may be missing: many of these events fail.
+_LOAD_EVENTS = st.builds(
+    lambda tag, id, time, parent, vtag: Event(
+        tag,
+        id=id,
+        time=time,
+        params={k: v for k, v in (("parent", parent), ("vTag", vtag), ("content", vtag)) if v},
+    ),
+    st.sampled_from(["HaveRoot", "HaveSubUnit", "HaveLeaf", "HaveContent", "RemoveCommand"]),
+    st.sampled_from(["", "a", "b", "c"]),
+    st.sampled_from(["", *T[:4]]),
+    st.sampled_from(["", "a", "b", "c"]),
+    st.sampled_from(["", "1.0", "2.0"]),
+)
+
+
+def _load_outcome(load, events):
+    try:
+        return load(events)
+    except LoadError as err:
+        return err.failures, err.applied
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    batches=st.lists(st.lists(_LOAD_EVENTS, max_size=8), max_size=4),
+    domain=st.sampled_from([JAVA_PACKAGES, JAVA_DOC]),
+)
+def test_load_of_events_matches_load_events_of_their_text(batches, domain):
+    direct = Editor(domain, clock=stepping_clock(T[5]))
+    via_text = Editor(domain, clock=stepping_clock(T[5]))
+    for events in batches:
+        assert _load_outcome(direct.load, events) == _load_outcome(
+            via_text.load_events, events_module.encode(events)
+        )
+        assert direct.active_commands == via_text.active_commands
+        assert dump_model(direct.registry) == dump_model(via_text.registry)
+        assert model_diff(direct.registry, via_text.registry).warnings == []
 
 
 def test_export_is_sorted_filtered_and_replayable(packages_editor):
@@ -579,6 +621,54 @@ def test_linking_to_a_copy_of_a_known_object_links_the_held_one():
     registry.set_link(registry.find("p1"), "pPack", ModelObject("JavaPackage", "org"))
     assert registry.consistency_violations() == []
     assert registry.find("org").to_many == {"subPackages": {"p1"}}
+
+
+def test_linking_from_a_copy_of_a_known_object_links_the_held_one():
+    editor = Editor(JAVA_PACKAGES)
+    editor.execute(Event("HaveRoot", id="org", time=T[0]))
+    editor.execute(Event("HaveRoot", id="p1", time=T[1]))
+    registry = editor.registry
+    copy = ModelObject("JavaPackage", "p1")
+    registry.set_link(copy, "pPack", "org")
+    assert registry.consistency_violations() == []
+    assert registry.find("p1").to_one == {"pPack": "org"}
+    assert copy.to_one == {}
+    editor.parse(registry.changed_objects())
+    assert registry.consistency_violations() == []
+    assert editor.get_active("p1").params == {"parent": "org"}
+
+
+def test_setting_an_attribute_on_a_copy_of_a_known_object_sets_the_held_one(packages_editor):
+    registry = packages_editor.registry
+    registry.set_attribute(ModelObject("JavaClass", "Editor"), "vTag", "2.0")
+    assert registry.find("Editor").attributes == {"vTag": "2.0"}
+    assert packages_editor.parse(registry.changed_objects()) == 1
+    assert packages_editor.get_active("Editor").params["vTag"] == "2.0"
+
+
+def test_many_to_many_mutations_from_a_copy_edit_the_held_one():
+    registry = nodes_editor().registry
+    registry.add_to_many(ModelObject("Node", "a"), "uses", "b")
+    assert registry.consistency_violations() == []
+    assert registry.find("a").to_many == {"uses": {"b"}}
+    registry.remove_from_many(ModelObject("Node", "a"), "uses", "b")
+    assert registry.find("a").to_many == {}
+    assert registry.find("b").to_many == {}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r, copy: r.set_attribute(copy, "vTag", "9"),
+        lambda r, copy: r.set_link(copy, "pack", "org"),
+    ],
+    ids=["set_attribute", "set_link"],
+)
+def test_a_copy_of_another_type_than_the_held_object_raises_and_changes_nothing(packages_editor, mutate):
+    before = snapshot(packages_editor)
+    with pytest.raises(TypeConflictError):
+        mutate(packages_editor.registry, ModelObject("JavaClass", "serv"))
+    assert snapshot(packages_editor) == before
 
 
 def test_parse_is_idempotent_after_one_pass():

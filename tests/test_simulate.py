@@ -7,6 +7,7 @@ from ces.cli import DOMAINS
 from ces.simulate import Channel, ScriptError, Session, run_script
 from ces.editor import LoadError
 from ces.events import OverwriteStrategy, encode
+from ces.oracles import random_command_sequence
 
 ALICE_EVENT = Event(
     "HaveLeaf", id="Editor", time="2020-01-01T13:36:00.000Z", params={"parent": "serv", "vTag": "1.0"}
@@ -189,15 +190,14 @@ def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
     for name in names:
         editor = session.add_editor(name, JAVA_PACKAGES)
 
-        def recording_load(text, load=editor.load_events, feed=feeds[name]):
-            feed.append(text)
-            return load(text)
+        def recording_load(events, load=editor.load, feed=feeds[name]):
+            feed.append(encode(events))
+            return load(events)
 
-        editor.load_events = recording_load
+        editor.load = recording_load
     import random as _random
 
     rng = _random.Random(13)
-    from ces.oracles import random_command_sequence
 
     for index, event in enumerate(random_command_sequence(30, 99)):
         name = rng.choice(names)
@@ -223,6 +223,35 @@ def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
     for name in names:
         assert twins[name].active_commands == session.editors[name].active_commands
         assert model_equal(twins[name].registry, session.editors[name].registry)
+
+
+def test_each_shared_submit_is_decoded_once_whatever_the_copies(monkeypatch):
+    from ces import editor as editor_module, simulate
+
+    decoded = []
+
+    def counting_decode(text, decode=simulate.decode):
+        decoded.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(simulate, "decode", counting_decode)
+    monkeypatch.setattr(editor_module, "decode", counting_decode)
+    session = Session(seed=4, drop=0.3, duplicate=0.6, reorder=True)
+    session.add_editor("p", JAVA_PACKAGES)
+    session.add_editor("q", JAVA_PACKAGES)
+    session.add_editor("d", JAVA_DOC)
+    shared = 0
+    for index, event in enumerate(random_command_sequence(40, 4)):
+        name = "pqd"[index % 3]
+        applied = session.submit(name, event)
+        shared += applied is not None
+        if index % 5 == 4:
+            session.flush()
+    session.submit("d", Event("HaveContent", id="C0", params={"content": "local"}))
+    session.settle()
+    assert shared > 10
+    assert len(decoded) == shared
+    assert session.report().converged
 
 
 def test_session_clocks_never_collide():
