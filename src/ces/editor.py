@@ -251,7 +251,10 @@ class Editor:
         replaces the held one even when its commands are unchanged, takes
         over the held state, and stays adopted if a later one raises.  An
         instance of an unknown id is adopted only when a command was
-        recovered from it, so no parse leaves a bare frame behind.  Runs
+        recovered from it, so no parse leaves a bare frame behind.  Whether
+        an id is known is read from the raw maps, so parsing the instances
+        of a copy's own maps neither duplicates nor takes over the ones it
+        shares with its source (see :meth:`ObjectRegistry.copy`).  Runs
         each recovered event only when it differs from the stored one in
         some field other than time, so unchanged increments keep their
         timestamps.  A recovered event the stored one outranks is ignored,
@@ -268,7 +271,8 @@ class Editor:
                 found = handler.parse(obj)
                 if found is not None:
                     collected.append(found)
-            if len(collected) > recovered or self.registry.find(obj.id) is not None:
+            known = obj.id in self.registry.model_objects or obj.id in self.registry.frames
+            if len(collected) > recovered or known:
                 adopted.append(obj)
         for obj in adopted:
             self.registry.register_parsed(obj)
@@ -308,8 +312,9 @@ class Editor:
         return self.active_commands.get((scope, id))
 
     def clone(self) -> "Editor":
-        """An independent twin: a structural copy of the registry (see
-        :meth:`ObjectRegistry.copy`) and a copy of the store, whose events
+        """An independent twin: a copy-on-write copy of the registry, which
+        shares each model object until either side writes it (see
+        :meth:`ObjectRegistry.copy`), and a copy of the store, whose events
         are immutable and so shared.  The twin keeps the domain, strategy
         and sync filter and shares the domain's handlers, which hold no
         state; its clock is a fresh one, not a copy of this editor's."""

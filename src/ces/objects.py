@@ -6,11 +6,14 @@ fully initialized objects; ``frames`` holds context-only stand-ins: ids some
 command referenced before (or without) a creating command, and directly
 created objects a mutation touched.  A parse pass adopts the directly edited
 instances into these maps, so they are reused instead of duplicated; each
-takes over the state held for its id.
+takes over the state held for its id.  A copy of a registry shares its
+instances until one of them is written (copy-on-write, see
+:class:`ObjectRegistry`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -42,6 +45,11 @@ class ModelObject:
     attributes: dict[str, str] = field(default_factory=dict)
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
+
+    # The token of the registry that may write this instance in place (see
+    # ObjectRegistry).  Not a field: equality, repr and the constructor
+    # ignore it, and a deep copy gets a fresh token that no registry holds.
+    _owner = None
 
 
 @dataclass(frozen=True)
@@ -101,15 +109,18 @@ class AssociationSchema:
         return end
 
 
-def _duplicate(obj: ModelObject) -> ModelObject:
-    """A new object with its own attribute and link dicts and link sets."""
-    return ModelObject(
+def _duplicate(obj: ModelObject, owner: object = None) -> ModelObject:
+    """A new object with its own attribute and link dicts and link sets,
+    owned by ``owner``."""
+    copied = ModelObject(
         obj.object_type,
         obj.id,
         dict(obj.attributes),
         dict(obj.to_one),
         {link: set(ids) for link, ids in obj.to_many.items()},
     )
+    copied._owner = owner
+    return copied
 
 
 class ObjectRegistry:
@@ -119,6 +130,18 @@ class ObjectRegistry:
     ends stay consistent and changed objects are tracked for incremental
     parsing.  A mutation edits the instance held for each id it is given,
     not a copy.  A touched object whose id no map holds joins the frames.
+
+    :meth:`copy` is copy-on-write.  Every instance carries the token of the
+    one registry that owns it, and only its owner writes it in place.
+    Before the owner writes an instance, each other live registry of the
+    copy family that still holds it gets its own duplicate of the
+    pre-image.  Whatever hands an instance out (:meth:`find`, and through
+    it :meth:`get_or_create`, :meth:`get_object_frame`,
+    :meth:`changed_objects` and the mutations) first swaps a borrowed one
+    for a private duplicate.  So an instance read straight from a map may
+    be shared with a live copy: fetch it with :meth:`find` and edit it only
+    through the mutations.  A registry and its live copies count as one
+    unit for threads.
     """
 
     def __init__(self, schema: AssociationSchema):
@@ -127,11 +150,30 @@ class ObjectRegistry:
         self.frames: dict[str, ModelObject] = {}
         # Changed ids in first-mutation order (a dict used as an ordered set).
         self._changed: dict[str, None] = {}
+        self._token = object()
+        # Weak references to the registries of the copy family, this one
+        # included; None until the first copy.
+        self._family: list[weakref.ref] | None = None
 
     # -- lookup and lifecycle -------------------------------------------------
 
     def find(self, id: str) -> ModelObject | None:
-        return self.model_objects.get(id) or self.frames.get(id)
+        """The instance held for ``id``, owned by this registry, or None."""
+        obj = self.model_objects.get(id) or self.frames.get(id)
+        if obj is None or obj._owner is self._token:
+            return obj
+        return self._hold(_duplicate(obj, self._token))
+
+    def _hold(self, obj: ModelObject) -> ModelObject:
+        """Put ``obj`` in place of the instance held for its id, in the map
+        holding the id, else the frames."""
+        (self.model_objects if obj.id in self.model_objects else self.frames)[obj.id] = obj
+        return obj
+
+    def _create(self, object_type: str, id: str) -> ModelObject:
+        obj = ModelObject(object_type, id)
+        obj._owner = self._token
+        return obj
 
     def _checked(self, obj: ModelObject, object_type: str) -> ModelObject:
         if obj.object_type != object_type:
@@ -148,8 +190,7 @@ class ObjectRegistry:
         obj = self.find(id)
         if obj is not None:
             return self._checked(obj, object_type)
-        obj = ModelObject(object_type, id)
-        self.frames[id] = obj
+        obj = self.frames[id] = self._create(object_type, id)
         return obj
 
     def get_or_create(self, object_type: str, id: str) -> ModelObject:
@@ -157,7 +198,7 @@ class ObjectRegistry:
         frame if one exists)."""
         if not id:
             raise UnknownObjectError("object id must be non-empty")
-        obj = self._checked(self.find(id) or ModelObject(object_type, id), object_type)
+        obj = self._checked(self.find(id) or self._create(object_type, id), object_type)
         self.frames.pop(id, None)
         self.model_objects[id] = obj
         return obj
@@ -168,7 +209,7 @@ class ObjectRegistry:
         nothing, so a command calls it before its first mutation."""
         requested: dict[str, str] = {}
         for object_type, id in wanted:
-            obj = self.find(id)
+            obj = self.model_objects.get(id) or self.frames.get(id)
             known = obj.object_type if obj is not None else requested.setdefault(id, object_type)
             if known != object_type:
                 raise TypeConflictError(f"id {id!r} is a {known}, requested {object_type}")
@@ -179,29 +220,51 @@ class ObjectRegistry:
         obj = self.model_objects.pop(id, None)
         if obj is not None:
             self.frames[id] = obj
-        return self.frames.get(id)
+        return self.find(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
         """Adopt a directly edited instance into the map holding its id, else
         the frames.  It takes over the held state (bare for a new id), so its
         edits reach the model only through the commands parsed from it and
-        every link stays two-sided; another type raises TypeConflictError."""
-        held = self.find(obj.id)
+        every link stays two-sided; another type raises TypeConflictError.
+        A live copy that holds the instance keeps its pre-image."""
+        held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is obj:
             return
         state = _duplicate(held) if held else ModelObject(obj.object_type, obj.id)
         self._checked(state, obj.object_type)
+        self._unshare(obj)
         obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
-        (self.model_objects if obj.id in self.model_objects else self.frames)[obj.id] = obj
+        obj._owner = self._token
+        self._hold(obj)
 
     def copy(self) -> "ObjectRegistry":
-        """A structural copy sharing the schema: one new object per object
-        (the maps are disjoint) and the change set."""
+        """A copy-on-write twin: new maps and a new change set that share
+        the schema and every instance with this registry, until either side
+        writes one.  The twin joins this registry's copy family (see the
+        class docstring)."""
         copied = ObjectRegistry(self.schema)
-        copied.model_objects = {k: _duplicate(o) for k, o in self.model_objects.items()}
-        copied.frames = {k: _duplicate(o) for k, o in self.frames.items()}
+        copied.model_objects = dict(self.model_objects)
+        copied.frames = dict(self.frames)
         copied._changed = dict(self._changed)
+        family = self._family or [weakref.ref(self)]
+        family[:] = [ref for ref in family if ref() is not None]
+        family.append(weakref.ref(copied))
+        self._family = copied._family = family
         return copied
+
+    def _unshare(self, obj: ModelObject) -> None:
+        """Before ``obj`` is written in place, give every other live
+        registry of the copy family that holds it a duplicate of the
+        pre-image."""
+        if self._family is None:
+            return
+        for ref in self._family:
+            other = ref()
+            if other is None or other is self:
+                continue
+            if (other.model_objects.get(obj.id) or other.frames.get(obj.id)) is obj:
+                other._hold(_duplicate(obj, other._token))
 
     # -- change tracking ------------------------------------------------------
 
@@ -217,8 +280,9 @@ class ObjectRegistry:
         self._changed.clear()
 
     def _mark(self, obj: ModelObject) -> None:
-        if obj.id not in self.model_objects:
-            self.frames.setdefault(obj.id, obj)
+        if obj.id not in self.model_objects and obj.id not in self.frames:
+            obj._owner = self._token
+            self.frames[obj.id] = obj
         self._changed[obj.id] = None
 
     # -- attribute and link mutation -------------------------------------------
@@ -229,15 +293,18 @@ class ObjectRegistry:
         obj = self._held(obj)
         if value:
             if obj.attributes.get(name) != value:
+                self._unshare(obj)
                 obj.attributes[name] = value
                 self._mark(obj)
         elif name in obj.attributes:
+            self._unshare(obj)
             del obj.attributes[name]
             self._mark(obj)
 
     def _held(self, obj: ModelObject) -> ModelObject:
-        """The instance held for ``obj.id``, else ``obj`` itself."""
-        held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
+        """The instance :meth:`find` hands out for ``obj.id``, else ``obj``
+        itself."""
+        held = self.find(obj.id)
         if held is None or held is obj:
             return obj
         return self._checked(held, obj.object_type)
@@ -256,6 +323,7 @@ class ObjectRegistry:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""
         members = holder.to_many.get(link)
         if members is not None:
+            self._unshare(holder)
             members.discard(id)
             if not members:
                 del holder.to_many[link]
@@ -273,6 +341,7 @@ class ObjectRegistry:
         new_id = target_obj.id if target_obj is not None else None
         if old_id == new_id:
             return
+        self._unshare(obj)
         if old_id is not None:
             old_obj = self.find(old_id)
             if old_obj is not None:
@@ -281,6 +350,7 @@ class ObjectRegistry:
             del obj.to_one[link]
         if target_obj is not None:
             obj.to_one[link] = target_obj.id
+            self._unshare(target_obj)
             target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
             self._mark(target_obj)
         self._mark(obj)
@@ -302,6 +372,8 @@ class ObjectRegistry:
             return
         if target_obj.id in obj.to_many.get(link, ()):
             return
+        self._unshare(obj)
+        self._unshare(target_obj)
         obj.to_many.setdefault(link, set()).add(target_obj.id)
         target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
         self._mark(obj)
@@ -395,7 +467,9 @@ def _render(value: object) -> str:
 
 def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
     """Compare the model objects of two registries; frames are excluded from
-    equality but reported as warnings when asymmetric."""
+    equality but reported as warnings when asymmetric.  A shared id whose
+    two instances are one object (as after :meth:`ObjectRegistry.copy`,
+    until one side writes it) is skipped without a comparison."""
     diff = ModelDiff()
     objects_a, objects_b = a.model_objects, b.model_objects
     for id in sorted(objects_a.keys() - objects_b.keys()):
@@ -406,7 +480,9 @@ def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
     # so only the shared ids whose objects differ raw are sorted and
     # canonicalized; an empty attribute or link set may still compare equal.
     mismatched = [
-        id for id, oa in objects_a.items() if id in objects_b and oa != objects_b[id]
+        id
+        for id, oa in objects_a.items()
+        if (ob := objects_b.get(id)) is not None and oa is not ob and oa != ob
     ]
     for id in sorted(mismatched):
         oa, ob = objects_a[id], objects_b[id]

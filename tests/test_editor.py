@@ -699,30 +699,32 @@ def _with_a_frame_and_pending_changes(editor: Editor) -> Editor:
     return editor
 
 
-def _containers(editor: Editor) -> dict[int, object]:
-    """Every object, dict and set an editor's registry and store hold, by
-    identity."""
-    registry = editor.registry
-    found: list[object] = [editor.active_commands, registry._changed]
-    for table in (registry.model_objects, registry.frames):
-        found.append(table)
-        for obj in table.values():
-            found += [obj, obj.attributes, obj.to_one, obj.to_many, *obj.to_many.values()]
-    return {id(thing): thing for thing in found}
+def _parts(obj: ModelObject) -> set[int]:
+    """The identities of an object and of every dict and set it holds."""
+    return {id(x) for x in (obj, obj.attributes, obj.to_one, obj.to_many, *obj.to_many.values())}
 
 
-def test_clone_is_a_structural_copy_that_shares_no_container(packages_editor):
+def test_clone_starts_equal_and_hands_out_only_private_instances(packages_editor):
     editor = _with_a_frame_and_pending_changes(packages_editor)
     twin = editor.clone()
     assert dump_model(twin.registry) == dump_model(editor.registry)
     assert snapshot(twin) == snapshot(editor)
+    assert twin.registry.frames == editor.registry.frames
+    assert twin.registry.changed_ids == editor.registry.changed_ids == {"Editor"}
     assert twin.clock is not editor.clock
-    assert not _containers(twin).keys() & _containers(editor).keys()
-    # The twin's change set holds the twin's own objects.
-    assert twin.registry.changed_ids == {"Editor"}
-    (changed,) = twin.registry.changed_objects()
-    assert changed is twin.registry.model_objects["Editor"]
-    assert changed is not editor.registry.model_objects["Editor"]
+    registry, source = twin.registry, editor.registry
+    handed = [
+        registry.get_or_create("JavaPackage", "fulib"),
+        registry.get_object_frame("JavaPackage", "ghost"),
+        *registry.changed_objects(),
+        *(registry.find(id) for id in [*source.model_objects, *source.frames]),
+    ]
+    held_by_source = {id(obj) for obj in [*source.model_objects.values(), *source.frames.values()]}
+    for obj in handed:
+        assert registry.find(obj.id) is obj
+        assert id(obj) not in held_by_source
+        assert not _parts(obj) & _parts(source.model_objects.get(obj.id) or source.frames[obj.id])
+    assert snapshot(twin) == snapshot(editor)
 
 
 def _mutate(editor: Editor) -> None:
@@ -750,6 +752,42 @@ def test_clone_and_original_do_not_see_each_others_edits(packages_editor, mutate
     assert other.get_active("fulib").type_tag == "HaveSubUnit"
     assert snapshot(target) != before
     assert target.registry.changed_ids == set()
+
+
+@pytest.mark.parametrize("mutated", range(3), ids=["source", "twin", "twin2"])
+def test_a_clone_of_a_clone_and_its_ancestors_do_not_see_each_others_edits(packages_editor, mutated):
+    editor = _with_a_frame_and_pending_changes(packages_editor)
+    twin = editor.clone()
+    family = [editor, twin, twin.clone()]
+    before = snapshot(editor)
+    _mutate(family[mutated])
+    for index, member in enumerate(family):
+        assert (snapshot(member) != before) == (index == mutated)
+
+
+def test_parsing_a_clones_own_map_values_leaves_the_sources_instances_to_the_source():
+    editor = Editor(JAVA_DOC)
+    editor.execute(Event("HaveRoot", id="org", time=T[0]))
+    editor.execute(Event("HaveSubUnit", id="fulib", time=T[1], params={"parent": "org"}))
+    registry = editor.registry
+    doc = registry.find("fulib.Doc")
+    twin = editor.clone()
+    twin.parse(list(twin.registry.model_objects.values()))
+    dumped = dump_model(twin.registry)
+    registry.set_attribute(doc, "content", "changed")
+    assert registry.find("fulib.Doc") is doc
+    assert doc.attributes["content"] == "changed"
+    assert dump_model(twin.registry) == dumped
+
+
+def test_a_clone_parsing_the_sources_edited_objects_leaves_the_source_unchanged(packages_editor):
+    twin = packages_editor.clone()
+    registry = packages_editor.registry
+    registry.set_attribute(registry.find("Editor"), "vTag", "2.0")
+    before = dump_model(registry)
+    assert twin.parse(registry.changed_objects()) == 1
+    assert dump_model(registry) == dump_model(twin.registry) == before
+    assert registry.consistency_violations() == twin.registry.consistency_violations() == []
 
 
 # -- overwriting makes losers ineffective ---------------------------------------------

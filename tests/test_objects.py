@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -589,3 +591,121 @@ def test_bidirectional_consistency_holds_after_any_operation_sequence(ops):
     assert registry.consistency_violations() == []
     assert not registry.model_objects.keys() & registry.frames.keys()
     assert all(registry.find(id) is not None for id in registry.changed_ids)
+
+
+# -- copy-on-write copy families ----------------------------------------------------
+
+_FAMILY_IDS = ["p0", "p1", "p2", "c0", "c1"]
+
+
+def _family_op(registry: ObjectRegistry, kind: str, x: str, y: str, value: str, give) -> None:
+    """One registry operation; every instance it is handed goes through
+    ``give``, an adopted one with ``adopted=True``.  ``y`` names a package,
+    ``x`` any object."""
+    up, down = ("pPack", "subPackages") if _type_of(x) == "JavaPackage" else ("pack", "classes")
+    if kind == "attr":
+        registry.set_attribute(give(registry.get_or_create(_type_of(x), x)), "vTag", value)
+    elif kind == "link" and x != y:
+        obj = give(registry.get_or_create(_type_of(x), x))
+        registry.set_link(obj, up, give(registry.get_object_frame("JavaPackage", y)))
+    elif kind == "unlink" and give(registry.find(x)) is not None:
+        registry.set_link(registry.find(x), up, None)
+    elif kind == "add" and x != y:
+        parent = give(registry.get_object_frame("JavaPackage", y))
+        registry.add_to_many(parent, down, give(registry.get_or_create(_type_of(x), x)))
+    elif kind == "drop_many" and give(registry.find(x)) is not None:
+        registry.remove_from_many(give(registry.get_object_frame("JavaPackage", y)), down, x)
+    elif kind == "remove":
+        give(registry.remove_model_object(x))
+    elif kind == "adopt_edited" and give(registry.find(x)) is not None:
+        edited = copy.deepcopy(registry.find(x))
+        edited.attributes["vTag"] = value or "edited"
+        edited.to_one[up] = y
+        registry.register_parsed(edited)
+        give(edited, adopted=True)
+    elif kind == "adopt_raw":
+        for obj in [*registry.model_objects.values(), *registry.frames.values()]:
+            registry.register_parsed(obj)
+    elif kind == "clear":
+        registry.clear_changes()
+    elif kind == "changed":
+        for obj in registry.changed_objects():
+            give(obj)
+
+
+def _ignore(obj: ModelObject | None, adopted: bool = False) -> ModelObject | None:
+    return obj
+
+
+_family_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["clone", "drop", "attr", "link", "unlink", "add", "drop_many", "remove",
+             "adopt_edited", "adopt_raw", "clear", "changed"]
+        ),
+        st.integers(0, 2),
+        st.sampled_from(_FAMILY_IDS),
+        st.sampled_from(["p0", "p1", "p2"]),
+        st.sampled_from(["", "1.0", "2.0"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200)
+@given(_family_ops)
+def test_each_registry_of_a_copy_family_behaves_like_its_own_deep_copy(ops):
+    root = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    _family_op(root, "link", "p1", "p0", "", _ignore)
+    _family_op(root, "link", "c0", "p1", "", _ignore)
+    # Per member: the registry, its deep-copied shadow, and the last instance
+    # it handed out for each id.
+    family = [(root, copy.deepcopy(root), {})]
+
+    def giver(handed: dict[str, ModelObject]):
+        def give(obj: ModelObject | None, adopted: bool = False) -> ModelObject | None:
+            if obj is not None:
+                assert adopted or handed.setdefault(obj.id, obj) is obj
+                handed[obj.id] = obj
+            return obj
+
+        return give
+
+    for kind, pick, x, y, value in ops:
+        registry, shadow, handed = family[pick % len(family)]
+        if kind == "clone":
+            if len(family) < 3:
+                family.append((registry.copy(), copy.deepcopy(shadow), {}))
+        elif kind == "drop":
+            if len(family) > 1:
+                del family[pick % len(family)]
+        else:
+            raw = [(table, dict(table)) for table in (registry.model_objects, registry.frames)]
+            _family_op(registry, kind, x, y, value, giver(handed))
+            _family_op(shadow, kind, x, y, value, _ignore)
+            if kind == "adopt_raw":
+                assert all(table[id] is obj for table, held in raw for id, obj in held.items())
+        for registry, shadow, handed in family:
+            assert dump_model(registry) == dump_model(shadow)
+            assert (registry.model_objects, registry.frames) == (shadow.model_objects, shadow.frames)
+            assert registry.changed_ids == shadow.changed_ids
+            assert registry.consistency_violations() == []
+            for id, obj in handed.items():
+                assert registry.find(id) is obj
+                # Only its owner hands an instance out.
+                assert all(other is handed or other.get(id) is not obj for _, _, other in family)
+
+
+@pytest.mark.parametrize("writer", ["source", "copy"])
+def test_many_to_many_edits_on_a_copy_or_its_source_stay_apart(writer):
+    source = ObjectRegistry(M2M_SCHEMA)
+    source.add_to_many(source.get_or_create("Node", "a"), "uses", source.get_or_create("Node", "b"))
+    source.get_or_create("Node", "c")
+    copied = source.copy()
+    before = dump_model(source)
+    edited, kept = (source, copied) if writer == "source" else (copied, source)
+    edited.add_to_many(edited.find("a"), "uses", "c")
+    edited.remove_from_many(edited.find("a"), "uses", "b")
+    assert dump_model(kept) == before
+    assert edited.find("a").to_many == {"uses": {"c"}}
+    assert edited.consistency_violations() == kept.consistency_violations() == []
