@@ -1,6 +1,6 @@
 """The editor: command execution with overwrite resolution, the active
-command store, tombstoning removal, opt-in many-to-many link commands, the
-incremental parse driver, and event import/export.
+command store, tombstoning removal, the incremental parse driver, and event
+import/export.
 
 The store keeps at most one event per command id (per scope, see below);
 overwriting makes that sufficient to reconstruct the model.  Editors
@@ -76,15 +76,11 @@ class CommandHandler:
     def parse(self, obj: ModelObject) -> Event | None:
         return None
 
-    def derive_id(self, event: Event) -> str | None:
-        return None
-
 
 @dataclass(frozen=True)
 class Domain:
     """A metamodel: its association schema, its command handlers in parse
-    offering order, and the event types it shares by default.  A domain
-    with a many-to-many link lists HaveLinkHandler and DropLinkHandler."""
+    offering order, and the event types it shares by default."""
 
     name: str
     schema: AssociationSchema
@@ -108,42 +104,6 @@ class RemoveCommandHandler(CommandHandler):
         old = editor.active_commands.get(("", event.id))
         if old is not None and old.type_tag != self.type_tag:
             editor.handlers[old.type_tag].remove(editor, old)
-
-
-class _LinkCommandBase(CommandHandler):
-    # The registry method that applies the command to a many-to-many link.
-    mutation = ""
-
-    def derive_id(self, event: Event) -> str | None:
-        # Composite id: a later DropLink overwrites an earlier HaveLink for
-        # the same pair, and vice versa.
-        source, target, link = (event.params.get(k) for k in ("source", "target", "link"))
-        return f"{source}~{link}~{target}" if source and target and link else None
-
-    def run(self, editor: "Editor", event: Event) -> None:
-        try:
-            source_id = event.params["source"]
-            target_id = event.params["target"]
-            link = event.params["link"]
-        except KeyError as exc:
-            raise CommandError(f"{self.type_tag} {event.id!r}: missing param {exc}") from None
-        end = editor.registry.schema.end(link)
-        if not (end.many and end.other_many):
-            raise CommandError(f"{self.type_tag}: link {link!r} is not many-to-many")
-        editor.registry.check_types((end.owner_type, source_id), (end.other_type, target_id))
-        source = editor.registry.get_object_frame(end.owner_type, source_id)
-        target = editor.registry.get_object_frame(end.other_type, target_id)
-        getattr(editor.registry, self.mutation)(source, link, target)
-
-
-class HaveLinkHandler(_LinkCommandBase):
-    type_tag = "HaveLink"
-    mutation = "add_to_many"
-
-
-class DropLinkHandler(_LinkCommandBase):
-    type_tag = "DropLink"
-    mutation = "remove_from_many"
 
 
 class Editor:
@@ -192,7 +152,7 @@ class Editor:
             raise UnknownCommandError(f"no handler for command {event.type_tag!r}")
         if event.time and not TIMESTAMP_RE.fullmatch(event.time):
             raise CommandError(f"time {event.time!r} is not of the form YYYY-MM-DDTHH:MM:SS.mmmZ")
-        event_id = event.id or handler.derive_id(event)
+        event_id = event.id
         if not event_id:
             event_id = f"obj{len(self.active_commands)}"
             if (handler.store_scope, event_id) in self.active_commands:

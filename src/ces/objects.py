@@ -46,9 +46,9 @@ class ModelObject:
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
 
-    # The token of the registry that may write this instance in place (see
-    # ObjectRegistry).  Not a field: equality, repr and the constructor
-    # ignore it, and a deep copy gets a fresh token that no registry holds.
+    # A weak reference to the registry that may write this instance in place
+    # (see ObjectRegistry); equality, repr and the constructor ignore it.  A
+    # deep copy keeps it, so an edited deep copy is adopted as itself.
     _owner = None
 
 
@@ -150,7 +150,7 @@ class ObjectRegistry:
         self.frames: dict[str, ModelObject] = {}
         # Changed ids in first-mutation order (a dict used as an ordered set).
         self._changed: dict[str, None] = {}
-        self._token = object()
+        self._token = weakref.ref(self)
         # Weak references to the registries of the copy family, this one
         # included; None until the first copy.
         self._family: list[weakref.ref] | None = None
@@ -227,10 +227,14 @@ class ObjectRegistry:
         the frames.  It takes over the held state (bare for a new id), so its
         edits reach the model only through the commands parsed from it and
         every link stays two-sided; another type raises TypeConflictError.
-        A live copy that holds the instance keeps its pre-image."""
+        An instance that another live registry owns is adopted as a copy; a
+        live copy that holds the instance keeps its pre-image."""
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is obj:
             return
+        owner = obj._owner and obj._owner()
+        if owner is not None and owner is not self:
+            obj = _duplicate(obj)
         state = _duplicate(held) if held else ModelObject(obj.object_type, obj.id)
         self._checked(state, obj.object_type)
         self._unshare(obj)
@@ -247,9 +251,9 @@ class ObjectRegistry:
         copied.model_objects = dict(self.model_objects)
         copied.frames = dict(self.frames)
         copied._changed = dict(self._changed)
-        family = self._family or [weakref.ref(self)]
+        family = self._family or [self._token]
         family[:] = [ref for ref in family if ref() is not None]
-        family.append(weakref.ref(copied))
+        family.append(copied._token)
         self._family = copied._family = family
         return copied
 

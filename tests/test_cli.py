@@ -322,6 +322,26 @@ def test_python_m_ces_runs_the_cli(capsys, start_file, tmp_path):
     assert "error:" in done.stderr
 
 
+def test_the_package_runs_on_the_standard_library_alone():
+    # -I ignores PYTHONPATH and the user site and -S skips site-packages, so
+    # any import of a third-party module fails.
+    program = "\n".join(
+        [
+            "import importlib, pkgutil, sys",
+            f"sys.path.insert(0, {SRC!r})",
+            "import ces",
+            "for module in pkgutil.iter_modules(ces.__path__):",
+            "    if module.name != '__main__':",
+            "        importlib.import_module('ces.' + module.name)",
+            "from ces.cli import main",
+            "main(['--help'])",
+        ]
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", program], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ces")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", "no-such.ces")
     assert code == 2

@@ -16,14 +16,13 @@ from ces import (
     decode,
     model_equal,
 )
-from ces import events as events_module
+from ces import editor as editor_module, events as events_module, javadoc, javapackages
 from ces.editor import (
     CommandError,
     CommandHandler,
     Domain,
-    DropLinkHandler,
-    HaveLinkHandler,
     IdCollisionError,
+    RemoveCommandHandler,
 )
 from ces.events import DecodeError, OverwriteStrategy, stepping_clock
 from ces.javadoc import FOLDERS
@@ -35,9 +34,9 @@ from ces.objects import (
     dump_model,
     model_diff,
 )
-from ces.oracles import replay
+from ces.oracles import check_ces_model, replay
 
-from conftest import snapshot
+from conftest import snapshot, start_events
 
 T = [f"2020-01-01T14:00:0{i}.000Z" for i in range(10)]
 
@@ -307,6 +306,11 @@ def test_newer_command_resurrects_after_tombstone(packages_editor):
 
 # -- HaveLink / DropLink --------------------------------------------------------------
 
+# Commands over a many-to-many link, as a metamodel with such a link would
+# define them.  The caller gives each command the composite id of its pair
+# (see link_event), so a later DropLink overwrites an earlier HaveLink for
+# the same pair, and vice versa.
+
 
 class HaveNode(CommandHandler):
     type_tag = "HaveNode"
@@ -314,6 +318,36 @@ class HaveNode(CommandHandler):
     def run(self, editor, event):
         editor.registry.get_or_create("Node", event.id)
         return event.id
+
+
+class _LinkCommand(CommandHandler):
+    # The registry method that applies the command to a many-to-many link.
+    mutation = ""
+
+    def run(self, editor, event):
+        try:
+            source_id = event.params["source"]
+            target_id = event.params["target"]
+            link = event.params["link"]
+        except KeyError as exc:
+            raise CommandError(f"{self.type_tag} {event.id!r}: missing param {exc}") from None
+        end = editor.registry.schema.end(link)
+        if not (end.many and end.other_many):
+            raise CommandError(f"{self.type_tag}: link {link!r} is not many-to-many")
+        editor.registry.check_types((end.owner_type, source_id), (end.other_type, target_id))
+        source = editor.registry.get_object_frame(end.owner_type, source_id)
+        target = editor.registry.get_object_frame(end.other_type, target_id)
+        getattr(editor.registry, self.mutation)(source, link, target)
+
+
+class HaveLink(_LinkCommand):
+    type_tag = "HaveLink"
+    mutation = "add_to_many"
+
+
+class DropLink(_LinkCommand):
+    type_tag = "DropLink"
+    mutation = "remove_from_many"
 
 
 NODES = Domain(
@@ -324,12 +358,17 @@ NODES = Domain(
             Association("Node", "owner", False, "Node", "owned", True),
         ]
     ),
-    handlers=(HaveNode(), HaveLinkHandler(), DropLinkHandler()),
+    handlers=(HaveNode(), HaveLink(), DropLink()),
 )
 
 
-def link_event(tag, time, source="a", target="b"):
-    return Event(tag, time=time, params={"source": source, "target": target, "link": "uses"})
+def link_event(tag, time, source="a", target="b", link="uses"):
+    return Event(
+        tag,
+        id=f"{source}~{link}~{target}",
+        time=time,
+        params={"source": source, "target": target, "link": link},
+    )
 
 
 def nodes_editor():
@@ -339,11 +378,13 @@ def nodes_editor():
     return editor
 
 
-def test_link_events_derive_a_composite_id():
+def test_have_link_is_stored_under_its_pair_id_and_links_both_ends():
     editor = nodes_editor()
     stored = editor.execute(link_event("HaveLink", T[2]))
     assert stored.id == "a~uses~b"
+    assert editor.get_active("a~uses~b") == stored
     assert editor.registry.model_objects["a"].to_many["uses"] == {"b"}
+    assert editor.registry.model_objects["b"].to_many["usedBy"] == {"a"}
 
 
 def test_have_then_drop_is_order_independent():
@@ -386,9 +427,8 @@ def test_drop_link_on_absent_link_stores_a_guard_event():
 def test_link_commands_reject_non_many_to_many_links():
     editor = nodes_editor()
     for link in ("owner", "owned"):
-        event = Event("HaveLink", time=T[2], params={"source": "a", "target": "b", "link": link})
         with pytest.raises(CommandError, match="many-to-many"):
-            editor.execute(event)
+            editor.execute(link_event("HaveLink", T[2], link=link))
     event = Event("HaveLink", time=T[0], params={"source": "fulib", "target": "org", "link": "pPack"})
     with pytest.raises(UnknownCommandError):
         Editor(JAVA_PACKAGES).execute(event)
@@ -405,6 +445,18 @@ def test_link_command_without_target_leaves_store_and_model_unchanged():
     assert editor.active_commands == store
     assert dump_model(editor.registry) == dump
     assert editor.registry.frames == {}
+
+
+def test_every_engine_and_metamodel_handler_is_run_by_a_shipped_domain():
+    listed = {type(handler) for domain in (JAVA_PACKAGES, JAVA_DOC) for handler in domain.handlers}
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in (editor_module, javapackages, javadoc)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and issubclass(cls, CommandHandler) and cls.type_tag
+        and cls not in listed and cls is not RemoveCommandHandler
+    ]
+    assert unused == []
 
 
 # -- parse ------------------------------------------------------------------------
@@ -788,6 +840,25 @@ def test_a_clone_parsing_the_sources_edited_objects_leaves_the_source_unchanged(
     assert twin.parse(registry.changed_objects()) == 1
     assert dump_model(registry) == dump_model(twin.registry) == before
     assert registry.consistency_violations() == twin.registry.consistency_violations() == []
+
+
+@pytest.mark.parametrize("edited", ["Editor", "serv"])
+def test_parsing_another_editors_objects_then_editing_leaves_that_editor_unchanged(edited):
+    a, b = Editor(JAVA_PACKAGES), Editor(JAVA_PACKAGES)
+    a.load(start_events())
+    b.load(start_events())
+    registry = a.registry
+    registry.set_attribute(registry.find(edited), "vTag", "2.0")
+    a.parse(registry.changed_objects())
+    before = dump_model(registry)
+    b.parse(registry.changed_objects())
+    if edited == "Editor":
+        b.registry.set_attribute(b.registry.find("Editor"), "vTag", "5.0")
+    else:
+        b.execute(Event("HaveRoot", id="serv", time=T[9]))
+    assert dump_model(registry) == before
+    assert registry.consistency_violations() == []
+    assert check_ces_model(a).passed
 
 
 # -- overwriting makes losers ineffective ---------------------------------------------

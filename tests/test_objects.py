@@ -136,7 +136,7 @@ def test_unset_link_clears_both_ends(registry):
     org = registry.get_or_create("JavaPackage", "org")
     fulib = registry.get_or_create("JavaPackage", "fulib")
     registry.set_link(fulib, "pPack", org)
-    registry.set_link(fulib, "pPack", None)
+    registry.unset_link(fulib, "pPack")
     assert "pPack" not in fulib.to_one
     assert "subPackages" not in org.to_many
 
