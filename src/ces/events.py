@@ -37,13 +37,15 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A serializable command record; the unit of exchange and storage.
 
     ``id`` and ``time`` may be empty on a freshly built event; the editor
     fills them in on first execution.  Instances are immutable after
-    construction and safe to move between threads.
+    construction and safe to move between threads.  The class is slotted,
+    so an instance has no ``__dict__``: the store keeps one event per
+    increment, and a dict per event would cost more than its fields.
     """
 
     type_tag: str
@@ -293,6 +295,32 @@ _LINE_RE = re.compile(
 )
 
 
+# Decoded type tags, param keys and short param values pass through this
+# table, so the events of every decoded text share one string object per
+# distinct value: a store holds one event per increment, and most of them
+# repeat a few tags, keys, parent ids and vTags.  Peers choose these strings,
+# so the table is bounded: a value longer than _SHARED_MAX_LENGTH is not
+# kept, and the table is emptied before it would exceed _SHARED_MAX_ENTRIES.
+# Ids and timestamps are unique per increment and stay out.  ``sys.intern``
+# is not used: CPython 3.12 makes interned strings immortal, so a peer
+# sending ever new values could grow a replica without limit.  Threads may
+# decode at once: each table operation is atomic, and a thread switched out
+# between the size check and the insert overshoots the bound by one entry.
+_SHARED: dict[str, str] = {}
+_SHARED_MAX_LENGTH = 64
+_SHARED_MAX_ENTRIES = 1 << 15
+
+
+def _shared(text: str) -> str:
+    """The table's string equal to ``text``, or ``text`` itself if it is
+    too long to keep."""
+    if len(text) > _SHARED_MAX_LENGTH:
+        return text
+    if len(_SHARED) >= _SHARED_MAX_ENTRIES:
+        _SHARED.clear()
+    return _SHARED.setdefault(text, text)
+
+
 def _finish(fields: dict[str, str], line: int) -> Event:
     tag = fields.pop("command")
     if not _KEY_RE.fullmatch(tag):
@@ -320,6 +348,7 @@ def decode(text: str) -> list[Event]:
     events: list[Event] = []
     fields: dict[str, str] | None = None
     block_line = 0
+    shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
     for lineno, match in enumerate(_LINE_RE.finditer(text), 1):
         prefix, key, value, line = match.groups()
         if prefix is None:
@@ -345,12 +374,14 @@ def decode(text: str) -> list[Event]:
                 raise DecodeError(lineno, "block must start with 'command'")
             if fields is not None:
                 events.append(_finish(fields, block_line))
-            fields = {"command": value}
+            fields = {"command": shared(value) or _shared(value)}
             block_line = lineno
         elif key in fields:
             raise DecodeError(lineno, f"duplicate key {key!r} in event block")
-        else:
+        elif key == "id" or key == "time":
             fields[key] = value
+        else:
+            fields[shared(key) or _shared(key)] = shared(value) or _shared(value)
     if fields is not None:
         events.append(_finish(fields, block_line))
     return events

@@ -32,12 +32,29 @@ class UnknownObjectError(CesError):
     pass
 
 
-@dataclass
+class _Token(weakref.ref):
+    """A registry's ownership token: a weak reference to the registry that
+    also holds ``family``, the tokens of every registry of its copy family
+    (this one included; None until the first copy).  The family stays
+    reachable after the registry is gone.  A deep copy is the token itself."""
+
+    __slots__ = ("family",)
+
+    def __init__(self, registry: "ObjectRegistry"):
+        super().__init__(registry)
+        self.family: list[_Token] | None = None
+
+    def __deepcopy__(self, memo) -> "_Token":
+        return self
+
+
+@dataclass(slots=True)
 class ModelObject:
     """An id-bearing node: attribute map, to-one links, and to-many link sets.
 
     Links hold target ids, never object references; empty values are
     canonicalized away (no empty-string attributes, no empty link entries).
+    The class is slotted, so an instance has no ``__dict__``.
     """
 
     object_type: str
@@ -46,10 +63,10 @@ class ModelObject:
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
 
-    # A weak reference to the registry that may write this instance in place
-    # (see ObjectRegistry); equality, repr and the constructor ignore it.  A
-    # deep copy keeps it, so an edited deep copy is adopted as itself.
-    _owner = None
+    # The token of the registry that may write this instance in place (see
+    # ObjectRegistry); equality, repr and the constructor ignore it.  A deep
+    # copy keeps it, so an edited deep copy is adopted as itself.
+    _owner: _Token | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,10 +167,7 @@ class ObjectRegistry:
         self.frames: dict[str, ModelObject] = {}
         # Changed ids in first-mutation order (a dict used as an ordered set).
         self._changed: dict[str, None] = {}
-        self._token = weakref.ref(self)
-        # Weak references to the registries of the copy family, this one
-        # included; None until the first copy.
-        self._family: list[weakref.ref] | None = None
+        self._token = _Token(self)
 
     # -- lookup and lifecycle -------------------------------------------------
 
@@ -227,8 +241,10 @@ class ObjectRegistry:
         the frames.  It takes over the held state (bare for a new id), so its
         edits reach the model only through the commands parsed from it and
         every link stays two-sided; another type raises TypeConflictError.
-        An instance that another live registry owns is adopted as a copy; a
-        live copy that holds the instance keeps its pre-image."""
+        An instance that another live registry owns is adopted as a copy.
+        Any other live registry that holds the instance keeps its pre-image:
+        a copy of this registry, or of the instance's owner, even when that
+        owner is gone."""
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is obj:
             return
@@ -251,19 +267,21 @@ class ObjectRegistry:
         copied.model_objects = dict(self.model_objects)
         copied.frames = dict(self.frames)
         copied._changed = dict(self._changed)
-        family = self._family or [self._token]
+        family = self._token.family or [self._token]
         family[:] = [ref for ref in family if ref() is not None]
         family.append(copied._token)
-        self._family = copied._family = family
+        self._token.family = copied._token.family = family
         return copied
 
     def _unshare(self, obj: ModelObject) -> None:
         """Before ``obj`` is written in place, give every other live
-        registry of the copy family that holds it a duplicate of the
-        pre-image."""
-        if self._family is None:
+        registry of its owner's copy family that holds it a duplicate of
+        the pre-image.  The owner's token reaches the family even when the
+        owner is gone."""
+        token = obj._owner
+        if token is None or token.family is None:
             return
-        for ref in self._family:
+        for ref in token.family:
             other = ref()
             if other is None or other is self:
                 continue

@@ -861,6 +861,22 @@ def test_parsing_another_editors_objects_then_editing_leaves_that_editor_unchang
     assert check_ces_model(a).passed
 
 
+def test_adopting_an_instance_of_a_gone_registry_leaves_its_live_copy_unchanged():
+    a, b = Editor(JAVA_PACKAGES), Editor(JAVA_PACKAGES)
+    a.load(start_events())
+    b.load(start_events())
+    c = a.clone()
+    before = dump_model(c.registry)
+    shared = c.registry.model_objects["Editor"]
+    del a
+    b.registry.register_parsed(shared)
+    b.registry.set_attribute(b.registry.find("Editor"), "vTag", "5.0")
+    assert b.registry.find("Editor").attributes["vTag"] == "5.0"
+    assert dump_model(c.registry) == before
+    assert c.registry.consistency_violations() == []
+    assert check_ces_model(c).passed
+
+
 # -- overwriting makes losers ineffective ---------------------------------------------
 
 

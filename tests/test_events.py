@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import re
 import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -585,3 +587,109 @@ def test_decode_of_any_text_is_an_error_or_round_trips(text):
     except DecodeError:
         return
     assert decode(encode(events)) == events
+
+
+# -- one shared copy of each decoded tag, key and short value ------------------------
+
+
+def test_decoded_tags_keys_and_short_values_are_shared_across_decode_calls(monkeypatch):
+    monkeypatch.setattr(events_module, "_SHARED", {})
+    made = [Event("HaveLeaf", id=f"C{i}", time=T0, params={"parent": "p7"}) for i in range(2)]
+    (a,), (b,) = decode(encode(made[:1])), decode(encode(made[1:]))
+    assert [a, b] == made
+    assert a.type_tag is b.type_tag
+    (key_a, value_a), (key_b, value_b) = *a.params.items(), *b.params.items()
+    assert key_a is key_b and value_a is value_b
+    # Ids and times are unique per increment and stay out of the table.
+    assert set(events_module._SHARED) == {"HaveLeaf", "parent", "p7"}
+
+
+def test_a_value_over_the_length_limit_is_not_kept(monkeypatch):
+    monkeypatch.setattr(events_module, "_SHARED", {})
+    limit = events_module._SHARED_MAX_LENGTH
+    short, long = "s" * limit, "l" * (limit + 1)
+    event = Event("HaveLeaf", id="C1", time=T0, params={"short": short, "long": long})
+    (a,), (b,) = decode(encode([event])), decode(encode([event]))
+    assert a == b == event
+    assert a.params["short"] is b.params["short"]
+    assert a.params["long"] is not b.params["long"]
+    assert short in events_module._SHARED and long not in events_module._SHARED
+
+
+class _WatchedTable(dict):
+    """A sharing table that records the most entries it ever held."""
+
+    peak = 0
+
+    def setdefault(self, key, default):
+        value = super().setdefault(key, default)
+        self.peak = max(self.peak, len(self))
+        return value
+
+
+def test_a_hostile_stream_of_distinct_keys_and_values_never_grows_the_table_past_its_bound(
+    monkeypatch,
+):
+    table = _WatchedTable()
+    monkeypatch.setattr(events_module, "_SHARED", table)
+    for first in range(0, 20_000, 1_000):
+        sent = [
+            Event("HaveLeaf", id=f"C{n}", time=T0, params={f"k{n}_{j}": f"v{n}_{j}" for j in range(5)})
+            for n in range(first, first + 1_000)
+        ]
+        assert decode(encode(sent)) == sent
+        assert len(table) <= events_module._SHARED_MAX_ENTRIES
+    # 100k distinct keys and 100k distinct values filled the table, and it
+    # was emptied each time before it would exceed its bound.
+    assert table.peak == events_module._SHARED_MAX_ENTRIES
+
+
+def test_threads_decoding_at_once_get_their_own_events_and_keep_the_table_bounded(monkeypatch):
+    table = _WatchedTable()
+    monkeypatch.setattr(events_module, "_SHARED", table)
+    monkeypatch.setattr(events_module, "_SHARED_MAX_ENTRIES", 500)
+    workers = 4
+    texts = [
+        [
+            [
+                Event("HaveLeaf", id=f"C{w}_{n}", time=T0, params={f"k{w}_{n}": f"v{n % 300}"})
+                for n in range(first, first + 200)
+            ]
+            for first in range(0, 2_000, 200)
+        ]
+        for w in range(workers)
+    ]
+    wrong: list[int] = []
+
+    def work(w: int) -> None:
+        for sent in texts[w]:
+            if decode(encode(sent)) != sent:
+                wrong.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    # A thread may be switched out between the size check and the insert,
+    # so the bound may be overshot by at most one entry per other thread.
+    assert table.peak <= 500 + workers - 1
+
+
+# -- slotted records ---------------------------------------------------------------
+
+
+def test_events_are_slotted():
+    event = decode(encode([leaf(T0, "1.0")]))[0]
+    for record in (event, leaf(T0, "1.0")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "note", "ad hoc")
+    assert copy.deepcopy(event) == event and hash(copy.deepcopy(event)) == hash(event)

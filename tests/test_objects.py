@@ -289,6 +289,30 @@ def _tree(registry_cls=ObjectRegistry, order=("fulib", "serv")):
     return registry
 
 
+def test_model_objects_are_slotted_and_their_owner_is_no_part_of_equality_or_repr():
+    registry = _tree()
+    held = registry.find("Editor")
+    bare = ModelObject("JavaClass", "Editor", {"vTag": "1.0"}, {"pack": "org"})
+    assert held._owner is not None and bare._owner is None
+    assert held == bare and repr(held) == repr(bare)
+    assert "_owner" not in repr(held)
+    for record in (held, bare):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "ad hoc"
+
+
+def test_a_deep_copy_of_a_model_object_keeps_its_owner():
+    registry = _tree()
+    held = registry.find("Editor")
+    copied = copy.deepcopy(held)
+    assert copied == held and copied is not held and copied.attributes is not held.attributes
+    assert copied._owner is held._owner
+    copied.attributes["vTag"] = "2.0"
+    registry.register_parsed(copied)
+    assert registry.find("Editor") is copied  # adopted as itself, not as a copy
+
+
 def test_registry_equals_itself():
     registry = _tree()
     assert model_equal(registry, registry)
