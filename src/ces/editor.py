@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 from .events import (
+    _UNSUPPORTED,
     TIMESTAMP_RE,
     CesError,
     Clock,
@@ -144,8 +145,11 @@ class Editor:
         Missing id and time are assigned here (auto ids follow the store
         size: "obj0", "obj1", ...).  A supplied time not of the form
         YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError` before
-        anything changes.  Returns the stored event when applied, None when
-        the event was ignored.
+        anything changes, and so does an event that is not ignored but
+        holds a C0 control other than tab, newline and carriage return in
+        its id or a param value, which :func:`encode` could not write.
+        Returns the stored event when applied, None when the event was
+        ignored.
         """
         handler = self.handlers.get(event.type_tag)
         if handler is None:
@@ -166,6 +170,11 @@ class Editor:
         old = self.active_commands.get(key)
         if old is not None and not overwrites(event, old, self.strategy):
             return None
+        refused = _UNSUPPORTED.search
+        if refused(event_id) or any(map(refused, event.params.values())):
+            raise CommandError(
+                f"unsupported control character in the id or a param value of {event_id!r}"
+            )
         handler.run(self, event)
         self.active_commands[key] = event
         return event

@@ -229,9 +229,13 @@ def overwrites(
 # so identical events always produce byte-identical text.
 
 
-# A value is written bare unless it is empty or holds whitespace (``\s`` is
-# the same predicate as ``str.isspace``), a quote, a backslash or a C0 control.
-_NEEDS_QUOTES = re.compile(r'[\s"\\\x00-\x1f]')
+# A value is written bare unless it is empty or holds whitespace (every code
+# point str.isspace accepts), a quote, a backslash or a C0 control.  The
+# class spells the whitespace out, which a regex tests faster than ``\s``.
+_QUOTED = (
+    r'\x00-\x20"\\\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000'
+)
+_NEEDS_QUOTES = re.compile(f"[{_QUOTED}]")
 _ESCAPED = re.compile(r'[\\"\n\r\t]')
 # The C0 controls other than tab, newline and carriage return: refused in values.
 _CONTROLS = r"\x00-\x08\x0b\x0c\x0e-\x1f"
@@ -321,35 +325,54 @@ def _shared(text: str) -> str:
     return _SHARED.setdefault(text, text)
 
 
+# The unchecked constructor's slot setters: Event is frozen, so its own
+# __setattr__ refuses them.
+_new_object = object.__new__
+_set_tag = Event.type_tag.__set__
+_set_id = Event.id.__set__
+_set_time = Event.time.__set__
+_set_params = Event.params.__set__
+
+
+def _event(type_tag: str, id: str, time: str, params: dict[str, str]) -> Event:
+    """The one constructor of decoded events; it skips Event.__post_init__.
+
+    Its checks hold already on both decode paths: the type tag and every
+    param key matched _KEY_RE, no param key is reserved (the block regex
+    refuses one, the line scanner pops "command", "id" and "time" or refuses
+    them as duplicate keys), every value is a str, and ``params`` is a plain
+    dict of the block's own, which the event takes as it is.
+    """
+    event = _new_object(Event)
+    _set_tag(event, type_tag)
+    _set_id(event, id)
+    _set_time(event, time)
+    _set_params(event, params)
+    return event
+
+
 def _finish(fields: dict[str, str], line: int) -> Event:
     tag = fields.pop("command")
     if not _KEY_RE.fullmatch(tag):
         raise DecodeError(line, f"invalid event type tag {tag!r}")
-    # The checks of Event.__post_init__ hold already, so the event is built
-    # without them and takes the block's own dict as its params: every param
-    # key matched _KEY_RE in _LINE_RE, "command", "id" and "time" were popped
-    # or refused as duplicate keys, and every value is a str.
-    event = object.__new__(Event)
-    object.__setattr__(event, "type_tag", tag)
-    object.__setattr__(event, "id", fields.pop("id", ""))
-    object.__setattr__(event, "time", fields.pop("time", ""))
-    object.__setattr__(event, "params", fields)
-    return event
+    return _event(tag, fields.pop("id", ""), fields.pop("time", ""), fields)
 
 
-def decode(text: str) -> list[Event]:
-    """Parse text produced by :func:`encode` (or hand-written in its format).
-
-    Lines end at ``"\\n"``; a trailing ``"\\r"`` is dropped, so CRLF text
-    decodes too.  Unknown keys become params; unknown type tags are
-    preserved, dispatch happens in the editor.  Malformed lines and
-    duplicate keys raise :class:`DecodeError` naming the offending line.
-    """
-    events: list[Event] = []
-    fields: dict[str, str] | None = None
-    block_line = 0
+def _scan(
+    text: str,
+    start: int,
+    end: int,
+    lineno: int,
+    fields: dict[str, str] | None,
+    block_line: int,
+    events: list[Event],
+) -> tuple[dict[str, str] | None, int]:
+    """The line scanner: decode ``text[start:end]``, whose first line is line
+    ``lineno``, one line at a time, appending each event it completes to
+    ``events``.  ``fields`` is the block still open at ``start`` (None if
+    none) and ``block_line`` its first line; returns the same for ``end``."""
     shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
-    for lineno, match in enumerate(_LINE_RE.finditer(text), 1):
+    for lineno, match in enumerate(_LINE_RE.finditer(text, start, end), lineno):
         prefix, key, value, line = match.groups()
         if prefix is None:
             line = line.rstrip("\r")
@@ -382,6 +405,74 @@ def decode(text: str) -> list[Event]:
             fields[key] = value
         else:
             fields[shared(key) or _shared(key)] = shared(value) or _shared(value)
+    return fields, block_line
+
+
+# A block exactly as encode writes it with every value plain, followed by
+# the next block or the end of the text: one match decodes it, and
+# _PARAM_RE's findall over its fourth group yields its params.  The param
+# repeat takes only lines that start with two spaces, so it never reads into
+# the next block, and each repeat stops at a fixed delimiter: a failed match
+# backtracks over its own block only, in linear time.
+_PLAIN = f"[^{_QUOTED}]+"
+_BLOCK_RE = re.compile(
+    rf"- command: ({_KEY_RE.pattern})\n"
+    rf"(?:  id: ({_PLAIN})\n)?"
+    rf"(?:  time: ({_PLAIN})\n)?"
+    rf"((?:  (?!(?:{'|'.join(RESERVED_KEYS)}): ){_KEY_RE.pattern}: {_PLAIN}\n)*)"
+    r"(?=- |\Z)"
+)
+_PARAM_RE = re.compile(rf"  ({_KEY_RE.pattern}): ({_PLAIN})\n")
+
+
+def decode(text: str) -> list[Event]:
+    """Parse text produced by :func:`encode` (or hand-written in its format).
+
+    Lines end at ``"\\n"``; a trailing ``"\\r"`` is dropped, so CRLF text
+    decodes too.  Unknown keys become params; unknown type tags are
+    preserved, dispatch happens in the editor.  Malformed lines and
+    duplicate keys raise :class:`DecodeError` naming the offending line.
+
+    A block exactly as :func:`encode` writes it, with every value plain, is
+    decoded by one match of a block regex.  Any other block (a quoted
+    value, CRLF line ends, a blank line, ``id`` or ``time`` after a param,
+    a duplicate or reserved key, no final line break, a malformed line) goes
+    to the line scanner, which decodes the text up to the next line that
+    starts with ``"- "``; line numbers are counted on from the last such
+    fallback only.
+    """
+    events: list[Event] = []
+    shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
+    block_at = _BLOCK_RE.match
+    params_in = _PARAM_RE.findall
+    size = len(text)
+    pos = 0
+    # The line scanner's open block and its first line; line is the line
+    # number of offset counted.
+    fields: dict[str, str] | None = None
+    block_line = 0
+    counted, line = 0, 1
+    while pos < size:
+        block = block_at(text, pos)
+        if block is not None:
+            tag, event_id, stamp, lines = block.groups()
+            pairs = params_in(lines)
+            params = {}
+            for key, value in pairs:
+                params[shared(key) or _shared(key)] = shared(value) or _shared(value)
+            if len(params) == len(pairs):
+                if fields is not None:  # the scanner's open block ends here
+                    events.append(_finish(fields, block_line))
+                    fields = None
+                tag = shared(tag) or _shared(tag)
+                events.append(_event(tag, event_id or "", stamp or "", params))
+                pos = block.end()
+                continue
+        end = text.find("\n- ", pos) + 1 or size
+        line += text.count("\n", counted, pos)
+        counted = pos
+        fields, block_line = _scan(text, pos, end, line, fields, block_line, events)
+        pos = end
     if fields is not None:
         events.append(_finish(fields, block_line))
     return events

@@ -13,6 +13,7 @@ instances until one of them is written (copy-on-write, see
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -36,7 +37,9 @@ class _Token(weakref.ref):
     """A registry's ownership token: a weak reference to the registry that
     also holds ``family``, the tokens of every registry of its copy family
     (this one included; None until the first copy).  The family stays
-    reachable after the registry is gone.  A deep copy is the token itself."""
+    reachable after the registry is gone.  A deep copy is the token itself;
+    a deep copy of a whole registry mints its own (see
+    :meth:`ObjectRegistry.__deepcopy__`)."""
 
     __slots__ = ("family",)
 
@@ -146,7 +149,8 @@ class ObjectRegistry:
     All attribute and link edits go through the registry so that both link
     ends stay consistent and changed objects are tracked for incremental
     parsing.  A mutation edits the instance held for each id it is given,
-    not a copy.  A touched object whose id no map holds joins the frames.
+    not a copy.  A touched object whose id no map holds joins the frames,
+    as a duplicate when another live registry owns it.
 
     :meth:`copy` is copy-on-write.  Every instance carries the token of the
     one registry that owns it, and only its owner writes it in place.
@@ -248,9 +252,7 @@ class ObjectRegistry:
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is obj:
             return
-        owner = obj._owner and obj._owner()
-        if owner is not None and owner is not self:
-            obj = _duplicate(obj)
+        obj = self._unborrowed(obj)
         state = _duplicate(held) if held else ModelObject(obj.object_type, obj.id)
         self._checked(state, obj.object_type)
         self._unshare(obj)
@@ -272,6 +274,24 @@ class ObjectRegistry:
         family.append(copied._token)
         self._token.family = copied._token.family = family
         return copied
+
+    def __deepcopy__(self, memo) -> "ObjectRegistry":
+        """A deep copy outside this registry's copy family: it has a token
+        of its own and owns a duplicate of each instance, so neither
+        registry counts the other's instances as its own.  (A deep copy of
+        a single :class:`ModelObject` keeps its owner.)"""
+        copied = memo[id(self)] = ObjectRegistry(copy.deepcopy(self.schema, memo))
+        pairs = ((self.model_objects, copied.model_objects), (self.frames, copied.frames))
+        for source, target in pairs:
+            for key, obj in source.items():
+                target[key] = _duplicate(obj, copied._token)
+        copied._changed = dict(self._changed)
+        return copied
+
+    def _unborrowed(self, obj: ModelObject) -> ModelObject:
+        """``obj``, or a duplicate of it when another live registry owns it."""
+        owner = obj._owner and obj._owner()
+        return _duplicate(obj) if owner is not None and owner is not self else obj
 
     def _unshare(self, obj: ModelObject) -> None:
         """Before ``obj`` is written in place, give every other live
@@ -325,9 +345,11 @@ class ObjectRegistry:
 
     def _held(self, obj: ModelObject) -> ModelObject:
         """The instance :meth:`find` hands out for ``obj.id``, else ``obj``
-        itself."""
+        itself, or a duplicate of it when another live registry owns it."""
         held = self.find(obj.id)
-        if held is None or held is obj:
+        if held is None:
+            return self._unborrowed(obj)
+        if held is obj:
             return obj
         return self._checked(held, obj.object_type)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,28 @@ def test_malformed_time_is_rejected_before_anything_changes(packages_editor):
             packages_editor.execute(Event("HaveRoot", id="fresh", time=time))
     assert "fresh" not in packages_editor.registry.frames
     assert packages_editor.active_commands == store
+
+
+def test_a_control_character_encode_refuses_is_refused_before_the_handler_runs(packages_editor):
+    late = "2030-01-01T00:00:00.000Z"
+    store = dict(packages_editor.active_commands)
+    dump = dump_model(packages_editor.registry)
+    stored = packages_editor.get_active("Editor")
+    for event in (
+        Event("HaveLeaf", id="C\x01", time=late, params={"parent": "serv", "vTag": "1.0"}),
+        Event("HaveLeaf", id="C", time=late, params={"parent": "serv", "vTag": "1\x1f"}),
+        replace(stored, time=late, params={**stored.params, "vTag": "2\x00"}),
+    ):
+        with pytest.raises(CommandError, match="unsupported control character"):
+            packages_editor.execute(event)
+    assert packages_editor.active_commands == store
+    assert dump_model(packages_editor.registry) == dump
+    # An event the stored one outranks is ignored before the check.
+    stale = replace(stored, time="2000-01-01T00:00:00.000Z", params={**stored.params, "vTag": "\x01"})
+    assert packages_editor.execute(stale) is None
+    # Tab, newline and carriage return are written escaped, so they pass.
+    assert packages_editor.execute(replace(stored, time=late, params={**stored.params, "vTag": "a\tb\r\n"}))
+    packages_editor.export_active()
 
 
 def test_load_propagates_decode_errors():

@@ -4,7 +4,9 @@ import copy
 import re
 import sys
 import threading
+import time
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -549,6 +551,133 @@ def test_decode_names_a_malformed_line_deep_in_a_large_crlf_text():
         decode("\r\n".join(lines) + "\r\n")
     assert info.value.line == bad + 1
     assert str(info.value) == f"line {bad + 1}: expected 'key: value', got 'vTag 2.0'"
+
+
+# -- the one-match path for canonical blocks and the line scanner -------------------
+
+# Whatever splits lines for str.splitlines (and so for _ref_decode) but not for
+# the codec; a quoted value may hold any of them.
+_SPLITLINES_ONLY = "\x85\u2028\u2029\x0b\x0c\x1c\x1d\x1e"
+
+# Any character but whitespace, controls, a quote and a backslash.
+_plain_value = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("aZ0.:-~/\x7fé")),
+        st.characters(exclude_categories=("Cc", "Zs", "Zl", "Zp"), exclude_characters='"\\'),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_plain_events = st.builds(
+    Event,
+    type_tag=st.from_regex(r"[A-Za-z][A-Za-z0-9_.~-]{0,8}", fullmatch=True),
+    id=st.one_of(st.just(""), _plain_value),
+    time=st.sampled_from(["", T0, T1]),
+    params=st.dictionaries(
+        st.one_of(
+            st.sampled_from(["parent", "vTag"]),
+            st.from_regex(r"[a-z][A-Za-z0-9_.~-]{0,6}", fullmatch=True).filter(
+                lambda key: key not in events_module.RESERVED_KEYS
+            ),
+        ),
+        _plain_value,
+        max_size=4,
+    ),
+)
+
+
+_piece = st.one_of(
+    st.tuples(st.just("encoded"), _events),
+    st.tuples(st.just("crlf"), _events),
+    st.tuples(st.just("soup"), _soup_block, st.lists(_soup_ending, min_size=4, max_size=4)),
+    # a plain-valued block with one more plain line spliced in: often a
+    # duplicate or reserved key, or id or time after a param
+    st.tuples(
+        st.just("spliced"),
+        _plain_events,
+        st.sampled_from(["id", "time", "command", "parent", "vTag"]),
+        _plain_value,
+        st.integers(1, 6),
+    ),
+)
+
+
+def _piece_text(piece) -> str:
+    kind = piece[0]
+    if kind == "soup":
+        return "".join(line + ending for line, ending in zip(piece[1], piece[2]))
+    if kind == "spliced":
+        _, event, key, value, at = piece
+        lines = encode([event]).splitlines(keepends=True)
+        lines.insert(min(at, len(lines)), f"  {key}: {value}\n")
+        return "".join(lines)
+    text = encode([piece[1]])
+    return text.replace("\n", "\r\n") if kind == "crlf" else text
+
+
+@settings(max_examples=200)
+@given(st.lists(_piece, max_size=6), st.booleans())
+def test_decode_matches_the_reference_on_canonical_blocks_among_others(pieces, cut_last_break):
+    text = "".join(_piece_text(piece) for piece in pieces)
+    if cut_last_break and text.endswith("\n"):
+        text = text[:-1]
+    if any(c in text for c in _SPLITLINES_ONLY):
+        return
+    outcome = _outcome(decode, text)
+    assert outcome == _outcome(_ref_decode, text)
+    _assert_built_as_by_the_constructor(outcome)
+
+
+def _scanner_called(*args):
+    raise AssertionError("a canonical block went to the line scanner")
+
+
+@given(st.lists(_plain_events, max_size=5))
+def test_text_as_encode_writes_it_with_plain_values_never_goes_line_by_line(events):
+    assert all(events_module._plain(v) for e in events for v in e.params.values())
+    text = encode(events)
+    with mock.patch.object(events_module, "_scan", _scanner_called):
+        decoded = decode(text)
+    assert decoded == events
+    _assert_built_as_by_the_constructor(("ok", decoded))
+
+
+def test_only_the_block_of_another_form_goes_to_the_scanner(monkeypatch):
+    scanned = []
+    real_scan = events_module._scan
+
+    def scan(text, start, end, *rest):
+        scanned.append(text[start:end])
+        return real_scan(text, start, end, *rest)
+
+    monkeypatch.setattr(events_module, "_scan", scan)
+    first, second = leaf(T0, "1.0"), leaf(T1, "2.0")
+    quoted = encode([second]).replace("vTag: 2.0", 'vTag: "2.0"')
+    assert decode(encode([first]) + quoted + encode([first])) == [first, second, first]
+    assert scanned == [quoted]
+
+
+def _decode_in(text: str, seconds: float):
+    start = time.perf_counter()
+    outcome = _outcome(decode, text)
+    assert time.perf_counter() - start < seconds
+    return outcome
+
+
+def test_a_megabyte_of_hostile_text_decodes_in_linear_time():
+    # A canonical block whose 50k param lines end without a final line
+    # break: the block regex fails only at the last line, and must not
+    # backtrack across the lines it matched.
+    params = {f"k{i}": f"value{i:013}" for i in range(50_000)}
+    text = encode([Event("HaveLeaf", id="C1", time=T0, params=params)])
+    assert len(text) > 1_000_000
+    assert _decode_in(text[:-1], 10) == ("ok", [Event("HaveLeaf", id="C1", time=T0, params=params)])
+    # Canonical blocks with CRLF on every other line, then a bad last line.
+    block = encode([leaf(T0, "1.0")]).split("\n")[:-1]
+    lines = [line + ("\r\n" if i % 2 else "\n") for i, line in enumerate(block * 20_000)]
+    bad = len(lines) + 1
+    outcome = _decode_in("".join(lines) + "  vTag 2.0\n", 10)
+    assert outcome == ("DecodeError", f"line {bad}: expected 'key: value', got 'vTag 2.0'", bad)
 
 
 # -- decode of arbitrary text --------------------------------------------------------

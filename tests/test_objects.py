@@ -733,3 +733,42 @@ def test_many_to_many_edits_on_a_copy_or_its_source_stay_apart(writer):
     assert dump_model(kept) == before
     assert edited.find("a").to_many == {"uses": {"c"}}
     assert edited.consistency_violations() == kept.consistency_violations() == []
+
+
+def _registry_with_class(vtag: str = "1.0") -> ObjectRegistry:
+    registry = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    registry.set_attribute(registry.get_or_create("JavaClass", "x"), "vTag", vtag)
+    return registry
+
+
+def test_a_mutation_given_another_registrys_instance_writes_a_duplicate():
+    owner, other = _registry_with_class(), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    before = dump_model(owner)
+    lent = owner.find("x")
+    other.set_attribute(lent, "vTag", "9.0")
+    other.set_link(lent, "pack", other.get_or_create("JavaPackage", "p"))
+    assert dump_model(owner) == before and lent.to_one == {}
+    adopted = other.find("x")
+    assert adopted is not lent and other.frames["x"] is adopted
+    assert adopted.attributes == {"vTag": "9.0"} and adopted.to_one == {"pack": "p"}
+    assert other.consistency_violations() == owner.consistency_violations() == []
+
+
+def test_a_deep_copy_of_a_registry_owns_its_instances():
+    source = _registry_with_class()
+    source.get_or_create("JavaClass", "y")
+    deep = copy.deepcopy(source)
+    before = dump_model(deep)
+    source.register_parsed(deep.find("y"))
+    source.set_attribute(source.find("y"), "vTag", "9.0")
+    assert dump_model(deep) == before
+    deep.set_attribute(deep.find("x"), "vTag", "7.0")
+    assert source.find("x").attributes == {"vTag": "1.0"}
+    assert deep.find("x").attributes == {"vTag": "7.0"}
+    # The deep copy's instances are its own: find hands them out as held.
+    assert all(deep.find(id) is obj for id, obj in deep.model_objects.items())
+    # A deep copy of one instance keeps its owner, so it is adopted as itself.
+    edited = copy.deepcopy(source.find("x"))
+    source.register_parsed(edited)
+    assert source.find("x") is edited
+

@@ -5,7 +5,7 @@ import pytest
 from ces import Event, JAVA_DOC, JAVA_PACKAGES, model_equal
 from ces.cli import DOMAINS
 from ces.simulate import Channel, ScriptError, Session, run_script
-from ces.editor import LoadError
+from ces.editor import CommandError, LoadError
 from ces.events import OverwriteStrategy, encode
 from ces.oracles import random_command_sequence
 
@@ -265,6 +265,20 @@ def test_session_clocks_never_collide():
     assert len(stamps) == 10
 
 
+def test_a_submit_holding_a_control_character_is_refused_and_leaves_the_replica_whole():
+    session = Session()
+    alice = session.add_editor("alice", JAVA_PACKAGES)
+    session.add_editor("bob", JAVA_PACKAGES)
+    session.submit("alice", Event("HaveRoot", id="r"))
+    with pytest.raises(CommandError, match="unsupported control character in the id or a param value of 'C'"):
+        session.submit("alice", Event("HaveLeaf", id="C", params={"parent": "r", "vTag": "1\x01"}))
+    assert alice.get_active("C") is None and alice.registry.find("C") is None
+    session.settle()
+    report = session.report()
+    assert report.converged
+    assert alice.digest() == session.editors["bob"].digest()
+
+
 # -- scripts --------------------------------------------------------------------------
 
 
@@ -320,3 +334,4 @@ def test_script_strategy_directive():
 def test_script_errors(bad):
     with pytest.raises(ScriptError):
         run_script(bad, DOMAINS, seed=0)
+
