@@ -92,6 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     strategies = {s.value: s for s in OverwriteStrategy}
 
+    def count(raw: str) -> int:
+        value = int(raw)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
     def common(p, domain=True):
         if domain:
             p.add_argument("--domain", choices=sorted(DOMAINS), required=True)
@@ -129,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-commute", help="verify order-independence of an event file")
     common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_commute)
 

@@ -156,11 +156,10 @@ def stepping_clock(start: str, step_ms: int = 1000) -> Clock:
 
 
 class OverwriteStrategy(str, Enum):
-    """Conflict resolution between two events sharing an id.
-
-    Every strategy is a strict total order once tie-broken: for two distinct
-    events exactly one overwrites the other, and a byte-identical duplicate
-    never overwrites (re-delivery is a no-op).
+    """Conflict resolution between two events sharing an id: the later time
+    wins, the earlier time wins, or the higher vTag (:func:`compare_versions`)
+    and then the later time.  Each is a strict total order once tie-broken by
+    the encoded bytes, and a byte-identical duplicate never overwrites.
     """
 
     LAST_EDIT_WINS = "last-edit-wins"
@@ -169,18 +168,25 @@ class OverwriteStrategy(str, Enum):
 
 
 def compare_versions(a: str, b: str) -> int:
-    """Order version strings component-wise: "1.2" < "1.10" < "2.0"."""
-    parts_a, parts_b = a.split("."), b.split(".")
-    for x, y in zip(parts_a, parts_b):
-        if x == y:
-            continue
-        if x.isdigit() and y.isdigit():
-            xi, yi = int(x), int(y)
-            if xi != yi:
-                return -1 if xi < yi else 1
-            continue  # numerically equal ("07" vs "7")
-        return -1 if x < y else 1
-    return (len(parts_a) > len(parts_b)) - (len(parts_a) < len(parts_b))
+    """Order version strings component-wise: "1.2" < "1.10" < "1.1a" < "2.0".
+
+    Per dot-separated component: empty first, then ASCII digit runs by value
+    (compared as strings, so of any length), then other text by code point
+    (SemVer 2.0.0 §11.4.3); past equal shared components, more sort higher.
+    """
+    key_a, key_b = _version_key(a), _version_key(b)
+    return (key_a > key_b) - (key_a < key_b)
+
+
+def _version_key(version: str) -> list[tuple]:
+    key = []
+    for part in version.split("."):
+        if part.isascii() and part.isdigit():
+            digits = part.lstrip("0")
+            key.append((1, len(digits), digits))
+        else:
+            key.append((2 if part else 0, part))
+    return key
 
 
 def overwrites(
@@ -270,25 +276,22 @@ def encode(events: Iterable[Event]) -> str:
     return "".join(blocks)
 
 
+# The longest prefix of a quoted value with no closing quote and no bad escape:
+# the character after it closes the value or starts a bad escape, or is none.
+_QUOTED_PREFIX_RE = re.compile(r'"(?:[^"\\]|\\[\\"nrt])*')
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
 def _parse_value(raw: str, line: int) -> str:
     """Unquote and unescape a value that starts with a double quote."""
-    out = []
-    i = 1
-    while i < len(raw):
-        c = raw[i]
-        if c == "\\":
-            if i + 1 >= len(raw) or raw[i + 1] not in _UNESCAPES:
-                raise DecodeError(line, "bad escape sequence in quoted value")
-            out.append(_UNESCAPES[raw[i + 1]])
-            i += 2
-        elif c == '"':
-            if raw[i + 1 :].strip():
-                raise DecodeError(line, "trailing content after closing quote")
-            return "".join(out)
-        else:
-            out.append(c)
-            i += 1
-    raise DecodeError(line, "unterminated quoted value")
+    end = _QUOTED_PREFIX_RE.match(raw).end()
+    if end == len(raw):
+        raise DecodeError(line, "unterminated quoted value")
+    if raw[end] == "\\":
+        raise DecodeError(line, "bad escape sequence in quoted value")
+    if raw[end + 1 :].strip():
+        raise DecodeError(line, "trailing content after closing quote")
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES[m[1]], raw[1:end])
 
 
 # Every line of a text is exactly one match, in order: an entry line ("- "
@@ -358,21 +361,15 @@ def _finish(fields: dict[str, str], line: int) -> Event:
     return _event(tag, fields.pop("id", ""), fields.pop("time", ""), fields)
 
 
-def _scan(
-    text: str,
-    start: int,
-    end: int,
-    lineno: int,
-    fields: dict[str, str] | None,
-    block_line: int,
-    events: list[Event],
-) -> tuple[dict[str, str] | None, int]:
-    """The line scanner: decode ``text[start:end]``, whose first line is line
+def _scan(text: str, start: int, lineno: int, events: list[Event]) -> int:
+    """The line scanner: decode ``text`` from offset ``start``, on line
     ``lineno``, one line at a time, appending each event it completes to
-    ``events``.  ``fields`` is the block still open at ``start`` (None if
-    none) and ``block_line`` its first line; returns the same for ``end``."""
+    ``events``.  At the next well-formed ``- command`` line, and at the end of
+    the text, it finishes its block (an invalid type tag raises there) and
+    returns that offset, from which the one-match path resumes."""
     shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
-    for lineno, match in enumerate(_LINE_RE.finditer(text, start, end), lineno):
+    fields: dict[str, str] | None = None  # the open block, from block_line on
+    for lineno, match in enumerate(_LINE_RE.finditer(text, start), lineno):
         prefix, key, value, line = match.groups()
         if prefix is None:
             line = line.rstrip("\r")
@@ -395,8 +392,9 @@ def _scan(
         if prefix == "- ":
             if key != "command":
                 raise DecodeError(lineno, "block must start with 'command'")
-            if fields is not None:
+            if fields is not None:  # hand back, or raise: the tag is invalid
                 events.append(_finish(fields, block_line))
+                return match.start()
             fields = {"command": shared(value) or _shared(value)}
             block_line = lineno
         elif key in fields:
@@ -405,7 +403,9 @@ def _scan(
             fields[key] = value
         else:
             fields[shared(key) or _shared(key)] = shared(value) or _shared(value)
-    return fields, block_line
+    if fields is not None:
+        events.append(_finish(fields, block_line))
+    return len(text)
 
 
 # A block exactly as encode writes it with every value plain, followed by
@@ -437,9 +437,9 @@ def decode(text: str) -> list[Event]:
     decoded by one match of a block regex.  Any other block (a quoted
     value, CRLF line ends, a blank line, ``id`` or ``time`` after a param,
     a duplicate or reserved key, no final line break, a malformed line) goes
-    to the line scanner, which decodes the text up to the next line that
-    starts with ``"- "``; line numbers are counted on from the last such
-    fallback only.
+    to the line scanner, which finishes every block it opens and hands the
+    text back at the next ``"- "`` line that follows a valid type tag; line
+    numbers are counted on from the last such fallback only.
     """
     events: list[Event] = []
     shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
@@ -447,11 +447,7 @@ def decode(text: str) -> list[Event]:
     params_in = _PARAM_RE.findall
     size = len(text)
     pos = 0
-    # The line scanner's open block and its first line; line is the line
-    # number of offset counted.
-    fields: dict[str, str] | None = None
-    block_line = 0
-    counted, line = 0, 1
+    counted, line = 0, 1  # line is the line number of offset counted
     while pos < size:
         block = block_at(text, pos)
         if block is not None:
@@ -461,18 +457,11 @@ def decode(text: str) -> list[Event]:
             for key, value in pairs:
                 params[shared(key) or _shared(key)] = shared(value) or _shared(value)
             if len(params) == len(pairs):
-                if fields is not None:  # the scanner's open block ends here
-                    events.append(_finish(fields, block_line))
-                    fields = None
                 tag = shared(tag) or _shared(tag)
                 events.append(_event(tag, event_id or "", stamp or "", params))
                 pos = block.end()
                 continue
-        end = text.find("\n- ", pos) + 1 or size
         line += text.count("\n", counted, pos)
         counted = pos
-        fields, block_line = _scan(text, pos, end, line, fields, block_line, events)
-        pos = end
-    if fields is not None:
-        events.append(_finish(fields, block_line))
+        pos = _scan(text, pos, line, events)
     return events

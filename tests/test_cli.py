@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ces import decode, encode
+from ces import Event, decode, encode
 from ces.cli import DOMAINS, main
 from ces.editor import text_digest
 from ces.events import OverwriteStrategy
@@ -219,6 +219,16 @@ def test_check_commute_passes_on_the_start_situation(capsys, start_file):
     assert "commutative: yes" in out
 
 
+def test_check_commute_refuses_a_negative_trial_count(capsys, start_file):
+    argv = ["check-commute", "--domain", "javapackages", "--in", start_file, "--trials"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "-5"])
+    assert exit_info.value.code == 2
+    assert "argument --trials: must be at least 0, got -5" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *argv, "0")  # the reverse order only
+    assert (code, out) == (0, "commutative: yes\nreverse: ok\n")
+
+
 # -- simulate ---------------------------------------------------------------------------
 
 
@@ -236,6 +246,29 @@ def test_simulate_reports_convergence(capsys, tmp_path):
     assert code == 0
     assert "converged: yes" in out
     assert "vTag=1.1" in out
+
+
+def test_replay_under_highest_version_wins_takes_a_vtag_of_any_length(capsys, tmp_path):
+    # int() refuses a string of more than 4300 digits; the comparison of two
+    # versions must not depend on it.
+    long = "1" + "0" * 4999
+    path = tmp_path / "long.ces"
+    path.write_text(
+        encode(
+            [
+                Event("HaveRoot", id="p", time="2020-01-01T00:00:00.000Z"),
+                Event("HaveLeaf", id="C", time="2020-01-01T00:00:01.000Z", params={"parent": "p", "vTag": long}),
+                Event("HaveLeaf", id="C", time="2020-01-01T00:00:02.000Z", params={"parent": "p", "vTag": "9"}),
+            ]
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "replay", "--domain", "javapackages", "--in", str(path),
+        "--strategy", "highest-version-wins",
+    )
+    assert (code, err) == (0, "")
+    assert f"JavaClass C {{vTag={long}}}" in out
 
 
 # -- error handling -----------------------------------------------------------------------

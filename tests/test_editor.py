@@ -117,6 +117,24 @@ def test_editor_strategy_decides_same_id_conflicts():
     assert editor.registry.model_objects["E"].attributes["vTag"] == "2.0"
 
 
+def test_highest_version_wins_keeps_one_version_in_every_delivery_order():
+    # "10" is above "9" by value, yet as strings "1a" < "9" and "10" < "1a":
+    # an order that compares some pairs by value and others as strings loops,
+    # and the last arrival then decides.
+    root = Event("HaveRoot", id="p", time=T[0])
+    leaves = [
+        Event("HaveLeaf", id="C", time=T[i], params={"parent": "p", "vTag": vtag})
+        for i, vtag in enumerate(["9", "10", "1a"], 1)
+    ]
+    digests = set()
+    for order in itertools.permutations(leaves):
+        editor = Editor(JAVA_PACKAGES, strategy=OverwriteStrategy.HIGHEST_VERSION_WINS)
+        editor.load([root, *order])
+        assert editor.registry.model_objects["C"].attributes["vTag"] == "1a"
+        digests.add(editor.digest())
+    assert len(digests) == 1
+
+
 
 @pytest.mark.parametrize("tag", ["HaveRoot", "RemoveCommand"])
 def test_domain_refuses_a_repeated_type_tag(tag):

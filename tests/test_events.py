@@ -176,6 +176,34 @@ def test_compare_versions_matches_numeric_tuple_order():
             assert compare_versions(a, b) == expected
 
 
+# Digit runs with and without leading zeros, one of 5000 digits (past the
+# 4300 that int() takes from a string), text, digits that are not ASCII
+# ("²" passes str.isdigit but not int()), and empty components.
+_version_part = st.sampled_from(
+    ["", "0", "00", "7", "07", "9", "10", "010", "1" + "0" * 4999, "0" + "9" * 4999,
+     "a", "1a", "9a", "a1", "Z", "-", "²", "١", "9²"]
+)
+_version = st.lists(_version_part, min_size=1, max_size=3).map(".".join)
+
+
+@given(_version, _version, _version)
+def test_compare_versions_is_a_total_order(a, b, c):
+    ab, bc, ac = compare_versions(a, b), compare_versions(b, c), compare_versions(a, c)
+    assert compare_versions(a, a) == 0
+    assert compare_versions(b, a) == -ab
+    if ab <= 0 and bc <= 0:
+        assert ac <= 0
+        if ab == bc == 0:
+            assert ac == 0
+
+
+def test_compare_versions_sorts_numbers_before_text_and_more_components_last():
+    ordered = ["", "0", "1", "1.", "1.0", "1.9", "01.10", "1." + "9" * 5000, "1.1a", "1.²", "2", "a"]
+    for i, a in enumerate(ordered):
+        for j, b in enumerate(ordered):
+            assert compare_versions(a, b) == (i > j) - (i < j), (a, b)
+
+
 # -- codec ---------------------------------------------------------------------
 
 
@@ -231,6 +259,14 @@ def test_decode_rejects_malformed_lines_with_line_number():
         decode("- command:\n  id: x\n")
     with pytest.raises(DecodeError, match="line 2: block must start with 'command'"):
         decode('- command: "a b"\n- id: y\n')
+    # A block whose type tag is invalid is reported where it ends, after any
+    # malformed line up to and including the line that ends it.
+    with pytest.raises(DecodeError, match="line 1: invalid event type tag 'a b'"):
+        decode('- command: "a b"\n' + encode([leaf(T0, "1.0")]))
+    with pytest.raises(DecodeError, match="line 2: unterminated quoted value"):
+        decode('- command: "a b"\n- command: "unterminated\n')
+    with pytest.raises(DecodeError, match="line 3: expected 'key: value', got 'vTag 2.0'"):
+        decode('- command: "a b"\n  id: x\n  vTag 2.0\n' + encode([leaf(T0, "1.0")]))
 
 
 def test_decode_refuses_what_encode_refuses():
@@ -363,6 +399,17 @@ def _ref_parse_value(raw, line):
             out.append(c)
             i += 1
     raise DecodeError(line, "unterminated quoted value")
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(st.sampled_from(list('"\\nrtq \r\t\x85\u2028')), st.characters()),
+        max_size=12,
+    )
+)
+def test_parse_value_agrees_with_the_reference(body):
+    raw = '"' + body
+    assert _outcome(events_module._parse_value, raw, 3) == _outcome(_ref_parse_value, raw, 3)
 
 
 def _ref_parse_entry(text, line):
@@ -646,9 +693,10 @@ def test_only_the_block_of_another_form_goes_to_the_scanner(monkeypatch):
     scanned = []
     real_scan = events_module._scan
 
-    def scan(text, start, end, *rest):
-        scanned.append(text[start:end])
-        return real_scan(text, start, end, *rest)
+    def scan(text, start, *rest):
+        returned = real_scan(text, start, *rest)
+        scanned.append(text[start:returned])
+        return returned
 
     monkeypatch.setattr(events_module, "_scan", scan)
     first, second = leaf(T0, "1.0"), leaf(T1, "2.0")
