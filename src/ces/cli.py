@@ -24,7 +24,7 @@ DOMAINS = {d.name: d for d in (JAVA_PACKAGES, JAVA_DOC)}
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_bytes().decode("utf-8")  # untranslated: decode reads line ends
 
 
 def _parse_filter(raw: str | None) -> frozenset[str] | None:

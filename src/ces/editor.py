@@ -185,12 +185,13 @@ class Editor:
         return not sync_filter or type_tag == "RemoveCommand" or type_tag in sync_filter
 
     def load(self, events) -> int:
-        """Execute decoded events in order (order is immaterial for
+        """Execute received events in order (order is immaterial for
         commutative sets); returns the number applied.
 
-        Events excluded by the sync filter are skipped.  Per-event failures
-        are collected; the rest of the events are still processed, then a
-        single :class:`LoadError` reports them.
+        Events excluded by the sync filter are skipped; one without an id or
+        a time fails with :class:`CommandError`, as each replica would mint
+        its own.  Per-event failures are collected, the rest still processed,
+        then a single :class:`LoadError` reports them.
         """
         applied = 0
         failures: list[str] = []
@@ -198,6 +199,8 @@ class Editor:
             if not self._shared(event.type_tag):
                 continue
             try:
+                if not (event.id and event.time):
+                    raise CommandError("a received event must carry an id and a time")
                 if self.execute(event) is not None:
                     applied += 1
             except CesError as exc:

@@ -372,7 +372,6 @@ def _scan(text: str, start: int, lineno: int, events: list[Event]) -> int:
     for lineno, match in enumerate(_LINE_RE.finditer(text, start), lineno):
         prefix, key, value, line = match.groups()
         if prefix is None:
-            line = line.rstrip("\r")
             bad = _UNSUPPORTED.search(line)
             if bad is not None:
                 raise DecodeError(lineno, f"unsupported control character {bad.group()!r}")
@@ -385,8 +384,6 @@ def _scan(text: str, start: int, lineno: int, events: list[Event]) -> int:
             raise DecodeError(lineno, f"unrecognized line {line!r}")
         if fields is None and prefix == "  ":
             raise DecodeError(lineno, "entry outside of an event block")
-        if value.endswith("\r"):
-            value = value.rstrip("\r")
         if value.startswith('"'):
             value = _parse_value(value, lineno)
         if prefix == "- ":
@@ -423,24 +420,27 @@ _BLOCK_RE = re.compile(
     r"(?=- |\Z)"
 )
 _PARAM_RE = re.compile(rf"  ({_KEY_RE.pattern}): ({_PLAIN})\n")
+_LINE_END_CRS = re.compile(r"\r+$", re.MULTILINE)  # the CRs that end a line
 
 
 def decode(text: str) -> list[Event]:
     """Parse text produced by :func:`encode` (or hand-written in its format).
 
-    Lines end at ``"\\n"``; a trailing ``"\\r"`` is dropped, so CRLF text
-    decodes too.  Unknown keys become params; unknown type tags are
-    preserved, dispatch happens in the editor.  Malformed lines and
+    Lines end at ``"\\n"``.  The carriage returns that end a line are
+    dropped before any matching, so CRLF text decodes as LF text does; any
+    other ``"\\r"`` is content.  Unknown keys become params; unknown type
+    tags are preserved, dispatch happens in the editor.  Malformed lines and
     duplicate keys raise :class:`DecodeError` naming the offending line.
 
     A block exactly as :func:`encode` writes it, with every value plain, is
-    decoded by one match of a block regex.  Any other block (a quoted
-    value, CRLF line ends, a blank line, ``id`` or ``time`` after a param,
-    a duplicate or reserved key, no final line break, a malformed line) goes
-    to the line scanner, which finishes every block it opens and hands the
-    text back at the next ``"- "`` line that follows a valid type tag; line
-    numbers are counted on from the last such fallback only.
+    decoded by one match of a block regex.  Any other block (a quoted value,
+    a blank line, ``id`` or ``time`` after a param, a duplicate or reserved
+    key, no final line break, a malformed line) goes to the line scanner,
+    which finishes every block it opens and hands the text back at the next
+    ``"- "`` line that follows a valid type tag.
     """
+    if "\r" in text and "\r" in (text := text.replace("\r\n", "\n")):
+        text = _LINE_END_CRS.sub("", text)
     events: list[Event] = []
     shared = _SHARED.get  # a hit costs one lookup; a miss goes to _shared
     block_at = _BLOCK_RE.match

@@ -247,6 +247,42 @@ def test_load_propagates_decode_errors():
         Editor(JAVA_PACKAGES).load_events("garbage\n")
 
 
+@pytest.mark.parametrize(
+    "peer",
+    [
+        "- command: HaveLeaf\n  id: x\n  parent: p\n  vTag: 2\n",
+        "- command: HaveLeaf\n  time: 2020-06-01T00:00:09.000Z\n  parent: p\n  vTag: 2\n",
+        "- command: RemoveCommand\n  id: x\n",
+    ],
+    ids=["no time", "no id", "timeless tombstone"],
+)
+def test_a_received_event_without_an_id_or_a_time_is_refused_on_every_replica(peer):
+    # Each receiver would stamp a timeless event with its own clock, and mint
+    # its own id for an id-less one: a replica whose clock runs behind the
+    # stored stamp kept its event, one whose clock runs ahead replaced it.
+    start = (
+        "- command: HaveRoot\n  id: p\n  time: 2020-06-01T00:00:00.000Z\n"
+        "- command: HaveLeaf\n  id: x\n  time: 2020-06-01T00:00:01.000Z\n  parent: p\n  vTag: 1\n"
+    )
+    replicas = [
+        Editor(JAVA_PACKAGES, clock=stepping_clock(first))
+        for first in ("2020-01-01T00:00:00.000Z", "2021-01-01T00:00:00.000Z")
+    ]
+    for editor in replicas:
+        assert editor.load_events(start) == 2
+        store, dump = dict(editor.active_commands), dump_model(editor.registry)
+        with pytest.raises(LoadError) as err:
+            editor.load_events(peer)
+        assert err.value.applied == 0
+        assert err.value.failures[0].endswith("a received event must carry an id and a time")
+        assert editor.active_commands == store
+        assert dump_model(editor.registry) == dump
+    assert replicas[0].digest() == replicas[1].digest()
+    # A local command still has both minted.
+    stored = replicas[1].execute(decode(peer)[0])
+    assert stored.id and stored.time
+
+
 # One id pool for containers and leaves, so ids meet across types, and a
 # parent that may be missing: many of these events fail.
 _LOAD_EVENTS = st.builds(

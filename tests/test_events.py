@@ -287,6 +287,15 @@ def test_reserved_param_keys_are_rejected_at_construction():
         Event("HaveRoot", id="x", params={"id": "y"})
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [({"a b": "y"}, "invalid param key 'a b'"), ({"vTag": 1}, "param 'vTag' must be a string, got 1")],
+)
+def test_malformed_params_are_rejected_at_construction(params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Event("HaveRoot", id="x", params=params)
+
+
 # C0 controls other than tab, newline and carriage return are the only
 # characters encode refuses.  The listed ones are drawn often: they need
 # quoting or escaping, and U+0085, U+2028 and U+2029 are line breaks to
@@ -687,6 +696,30 @@ def test_text_as_encode_writes_it_with_plain_values_never_goes_line_by_line(even
         decoded = decode(text)
     assert decoded == events
     _assert_built_as_by_the_constructor(("ok", decoded))
+
+
+@given(st.lists(_plain_events, max_size=5))
+def test_crlf_text_as_encode_writes_it_never_goes_line_by_line_either(events):
+    text = encode(events)
+    with mock.patch.object(events_module, "_scan", _scanner_called):
+        assert decode(text.replace("\n", "\r\n")) == decode(text) == events
+
+
+@settings(max_examples=200)
+@given(st.lists(_soup_block, max_size=4), st.data())
+def test_carriage_returns_that_end_a_line_change_no_outcome(blocks, data):
+    # Any other carriage return is content, the same in both texts.
+    lines = [
+        line + data.draw(st.sampled_from(["", "", "\rb", ' "\r"', "\r "]))
+        for block in blocks
+        for line in block
+    ]
+    runs = data.draw(st.lists(st.sampled_from(["", "\r", "\r\r"]), min_size=len(lines), max_size=len(lines)))
+    lf = "".join(line + "\n" for line in lines)
+    crs = "".join(line + run + "\n" for line, run in zip(lines, runs))
+    if lines and data.draw(st.booleans()):  # no break after the last line
+        lf, crs = lf[:-1], crs[:-1]
+    assert _outcome(decode, crs) == _outcome(decode, lf)
 
 
 def test_only_the_block_of_another_form_goes_to_the_scanner(monkeypatch):

@@ -37,6 +37,12 @@ def test_frame_lookup_hit_leaves_maps_unchanged(registry):
     assert "org" in registry.model_objects and "org" not in registry.frames
 
 
+def test_frame_lookup_refuses_an_empty_id(registry):
+    with pytest.raises(UnknownObjectError, match="non-empty"):
+        registry.get_object_frame("JavaPackage", "")
+    assert registry.frames == {} and registry.model_objects == {}
+
+
 def test_frame_miss_creates_context_stand_in(registry):
     serv = registry.get_object_frame("JavaPackage", "serv")
     assert registry.frames["serv"] is serv
@@ -193,6 +199,8 @@ def test_schema_violations_are_errors(registry):
         registry.set_link(org, "subPackages", None)  # to-many end
     with pytest.raises(SchemaError):
         registry.add_to_many(org, "pPack", org)  # to-one end
+    with pytest.raises(SchemaError, match="to-one"):
+        registry.remove_from_many(org, "pPack", org)
     with pytest.raises(SchemaError):
         registry.set_link(org, "nonsense", None)
     with pytest.raises(SchemaError):

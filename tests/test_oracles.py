@@ -36,6 +36,9 @@ def test_overwritten_event_is_ineffective():
     events = [leaf(T[0], "1.0"), leaf(T[1], "1.1")]
     assert is_ineffective(events, 0, JAVA_PACKAGES) is True
     assert is_ineffective(events, 1, JAVA_PACKAGES) is False
+    for outside in (-1, 2):
+        with pytest.raises(IndexError):
+            is_ineffective(events, outside, JAVA_PACKAGES)
 
 
 def test_single_creating_event_is_effective():
@@ -115,10 +118,20 @@ class SetShared(CommandHandler):
         return event.id
 
 
+class Tag(CommandHandler):
+    """Test fixture violating store uniqueness: run ignores the ``note``
+    param, so events that differ only in it build one model."""
+
+    type_tag = "Tag"
+
+    def run(self, editor, event):
+        editor.registry.get_or_create("Node", event.id)
+
+
 BROKEN = Domain(
     name="broken",
     schema=AssociationSchema([Association("Node", "uses", True, "Node", "usedBy", True)]),
-    handlers=(Append(), SetShared()),
+    handlers=(Append(), SetShared(), Tag()),
 )
 
 
@@ -210,6 +223,17 @@ def test_model_equal_replays_share_a_store_signature():
     ]
     report = check_ces_model(replay(start_events(), JAVA_PACKAGES), sequences=sequences)
     assert report.unique_stores, report.uniqueness_failures
+
+
+def test_one_model_built_from_two_stores_is_reported_with_both_sequences():
+    bare = [Event("Tag", id="x", time=T[0])]
+    noted = [Event("Tag", id="x", time=T[0], params={"note": "1"})]
+    report = check_ces_model(replay(bare, BROKEN), sequences=[bare, noted, bare])
+    assert report.parse_stable
+    assert not report.unique_stores and not report.passed
+    assert report.uniqueness_failures == [
+        "sequences 0 and 1 build the same model but different active stores"
+    ]
 
 
 def test_store_signature_ignores_time_and_tombstones():

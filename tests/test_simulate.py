@@ -303,6 +303,25 @@ def test_script_channel_faults_still_converge():
     assert "vTag=1.1" in report.to_text()
 
 
+def test_script_channel_without_eventual_delivery_reports_lost_messages():
+    script = "channel drop=1 eventual=off\n" + ALICE_BOB_SCRIPT
+    report = run_script(script, DOMAINS, seed=0)
+    assert not report.converged
+    assert "converged: no" in report.to_text()
+
+
+def test_a_session_refuses_a_repeated_editor_name():
+    session = Session()
+    session.add_editor("alice", JAVA_PACKAGES)
+    with pytest.raises(ScriptError, match="'alice' already exists"):
+        session.add_editor("alice", JAVA_DOC)
+    assert list(session.editors) == ["alice"]
+
+
+def test_an_empty_session_shares_only_removals():
+    assert Session().shared_filter() == frozenset({"RemoveCommand"})
+
+
 def test_script_strategy_directive():
     script = "strategy first-edit-wins\n" + ALICE_BOB_SCRIPT
     report = run_script(script, DOMAINS, seed=0)
