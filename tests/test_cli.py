@@ -11,7 +11,7 @@ import pytest
 from ces import Event, decode, encode
 from ces.cli import DOMAINS, main
 from ces.editor import text_digest
-from ces.events import DecodeError, OverwriteStrategy
+from ces.events import OverwriteStrategy
 from ces.objects import dump_model
 from ces.oracles import random_command_sequence, replay
 
@@ -323,29 +323,6 @@ def test_format_errors_exit_two(capsys, tmp_path):
         code, _, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(bad))
         assert code == 2
         assert "error:" in err
-
-
-def test_replay_reads_stray_carriage_returns_as_decode_does(capsys, tmp_path):
-    # CRs that end a line are dropped; a CR inside a value is content.
-    kept = (
-        "- command: HaveRoot\r\r\n  id: p\r\n  time: 2020-01-01T00:00:00.000Z\r\r\n"
-        "- command: HaveLeaf\n  id: x\n  time: 2020-01-01T00:00:01.000Z\n"
-        "  note: a\rb\n  parent: p\n  vTag: 1\r"
-    )
-    path = tmp_path / "stray.ces"
-    path.write_bytes(kept.encode("utf-8"))
-    code, out, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(path))
-    editor = replay(decode(kept), DOMAINS["javapackages"])
-    assert editor.get_active("x").params["note"] == "a\rb"
-    assert (code, err) == (0, "")
-    assert out == dump_model(editor.registry) + f"active-digest: {editor.digest(frozenset())}\n"
-    broken = kept + "\r\n bad\r\r\n"
-    path.write_bytes(broken.encode("utf-8"))
-    with pytest.raises(DecodeError) as info:
-        decode(broken)
-    assert info.value.line == 10
-    code, out, err = run_cli(capsys, "replay", "--domain", "javapackages", "--in", str(path))
-    assert (code, out, err) == (2, "", f"error: {info.value}\n")
 
 
 @pytest.mark.parametrize(

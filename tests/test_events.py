@@ -759,6 +759,15 @@ def test_a_megabyte_of_hostile_text_decodes_in_linear_time():
     bad = len(lines) + 1
     outcome = _decode_in("".join(lines) + "  vTag 2.0\n", 10)
     assert outcome == ("DecodeError", f"line {bad}: expected 'key: value', got 'vTag 2.0'", bad)
+    # A run of CRs not followed by a line end stays content; the sweep that
+    # drops the CRs ending a line must not retry the run at each of its CRs.
+    run = "\r" * 100_000
+    head = f"- command: HaveLeaf\n  id: C1\n  time: {T0}\n"
+    leaf_with_note = Event("HaveLeaf", id="C1", time=T0, params={"note": f"a{run}b"})
+    assert _decode_in(f"{head}  note: a{run}b\n", 10) == ("ok", [leaf_with_note])
+    assert _decode_in(f"{head}{run}\n  note: a{run}b{run}", 10) == ("ok", [leaf_with_note])
+    outcome = _decode_in(f"{run}x", 10)
+    assert outcome == ("DecodeError", f"line 1: unrecognized line {run + 'x'!r}", 1)
 
 
 # -- decode of arbitrary text --------------------------------------------------------
