@@ -10,7 +10,8 @@ interact with each other only through the encoded event text.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .events import (
     _UNSUPPORTED,
@@ -19,12 +20,16 @@ from .events import (
     Clock,
     Event,
     OverwriteStrategy,
+    _event,
     decode,
     encode,
     equals_but_time,
     overwrites,
 )
 from .objects import AssociationSchema, ModelObject, ObjectRegistry
+
+
+_BY_ID_AND_TYPE = attrgetter("id", "type_tag")
 
 
 def text_digest(text: str) -> str:
@@ -143,11 +148,14 @@ class Editor:
         for the same id wins under the overwrite strategy.
 
         Missing id and time are assigned here (auto ids follow the store
-        size: "obj0", "obj1", ...).  A supplied time not of the form
-        YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError` before
-        anything changes, and so does an event that is not ignored but
-        holds a C0 control other than tab, newline and carriage return in
-        its id or a param value, which :func:`encode` could not write.
+        size: "obj0", "obj1", ...), and the stamped copy is built without
+        running :class:`Event`'s checks again: they cover only the type tag
+        and the params, which the copy takes unchanged from an event that
+        passed them when it was made or decoded.  A supplied time not of
+        the form YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError`
+        before anything changes, and so does an event that is not ignored
+        but holds a C0 control other than tab, newline and carriage return
+        in its id or a param value, which :func:`encode` could not write.
         Returns the stored event when applied, None when the event was
         ignored.
         """
@@ -165,7 +173,7 @@ class Editor:
                 )
         time = event.time or self.clock.now()
         if event_id != event.id or time != event.time:
-            event = replace(event, id=event_id, time=time)
+            event = _event(event.type_tag, event_id, time, event.params)
         key = (handler.store_scope, event_id)
         old = self.active_commands.get(key)
         if old is not None and not overwrites(event, old, self.strategy):
@@ -195,8 +203,10 @@ class Editor:
         """
         applied = 0
         failures: list[str] = []
+        sync_filter = self.sync_filter
         for event in events:
-            if not self._shared(event.type_tag):
+            tag = event.type_tag
+            if sync_filter and tag not in sync_filter and tag != "RemoveCommand":
                 continue
             try:
                 if not (event.id and event.time):
@@ -269,7 +279,7 @@ class Editor:
         """Active commands restricted to the given filter (default: this
         editor's own), in deterministic (id, type) order."""
         events = [e for e in self.active_commands.values() if self._shared(e.type_tag, sync_filter)]
-        events.sort(key=lambda e: (e.id, e.type_tag))
+        events.sort(key=_BY_ID_AND_TYPE)
         return events
 
     def export_active(self, sync_filter: frozenset[str] | None = None) -> str:

@@ -136,8 +136,11 @@ class Clock:
 
 
 def stepping_clock(start: str, step_ms: int = 1000) -> Clock:
-    """Deterministic clock for tests and simulations: start, start+step, ..."""
-    base = parse_timestamp(start)
+    """Deterministic clock for tests and simulations: start, start+step,
+    ..., held at :data:`LAST_TIME`.  Its source returns naive datetimes in
+    UTC, which :func:`format_timestamp` writes without a time-zone
+    conversion."""
+    base = datetime.strptime(start, _TIME_PARSE)
     calls = [-1]
 
     def source() -> datetime:
@@ -338,13 +341,17 @@ _set_params = Event.params.__set__
 
 
 def _event(type_tag: str, id: str, time: str, params: dict[str, str]) -> Event:
-    """The one constructor of decoded events; it skips Event.__post_init__.
+    """The constructor of decoded and of stamped events; it skips
+    Event.__post_init__.
 
     Its checks hold already on both decode paths: the type tag and every
     param key matched _KEY_RE, no param key is reserved (the block regex
     refuses one, the line scanner pops "command", "id" and "time" or refuses
     them as duplicate keys), every value is a str, and ``params`` is a plain
-    dict of the block's own, which the event takes as it is.
+    dict of the block's own, which the event takes as it is.  The copy
+    Editor.execute stamps with an id and a time takes the tag and the
+    params dict of an event that passed them already; the two events,
+    being immutable, share that dict.
     """
     event = _new_object(Event)
     _set_tag(event, type_tag)

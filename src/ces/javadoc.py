@@ -34,14 +34,13 @@ class HaveRoot(javapackages.HaveRoot):
 
 class HaveSubUnit(javapackages.HaveSubUnit):
     def run(self, editor: Editor, event: Event) -> None:
-        super().run(editor, event)
         registry = editor.registry
-        doc = registry.get_or_create(FOLDERS.leaf, event.id + DOC_SUFFIX)
-        registry.set_attribute(doc, "content", f"{event.id} docu")
-        registry.set_link(doc, FOLDERS.leaf_up, event.id)
-
-    def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
-        return (*super().typed_ids(id, parent_id), (FOLDERS.leaf, id + DOC_SUFFIX))
+        doc = event.id + DOC_SUFFIX
+        # The folder's placement checks the folder and its parent; this
+        # check keeps the describing file's placement from failing after it.
+        registry.check_types((FOLDERS.container, javapackages._parent(event)), (FOLDERS.leaf, doc))
+        super().run(editor, event)
+        registry.place(FOLDERS.leaf, doc, FOLDERS.leaf_up, event.id, "content", f"{event.id} docu")
 
     def remove(self, editor: Editor, event: Event) -> None:
         super().remove(editor, event)

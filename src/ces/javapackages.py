@@ -47,8 +47,8 @@ JAVA_PACKAGES_SCHEMA = PACKAGES.schema()
 
 
 def _parent(event: Event) -> str:
-    """The event's parent id; handlers read it and check types before any
-    mutation, so a command that fails leaves the model untouched."""
+    """The event's parent id; a handler reads it before any mutation, so a
+    command that fails leaves the model untouched."""
     parent = event.params.get("parent")
     if not parent:
         raise CommandError(f"{event.type_tag} {event.id!r}: missing 'parent' param")
@@ -71,9 +71,7 @@ class HaveRoot(TreeHandler):
     type_tag = "HaveRoot"
 
     def run(self, editor: Editor, event: Event) -> None:
-        registry = editor.registry
-        unit = registry.get_or_create(self.tree.container, event.id)
-        registry.set_link(unit, self.tree.up, None)
+        editor.registry.place(self.tree.container, event.id, self.tree.up, None)
 
     def parse(self, obj: ModelObject) -> Event | None:
         tree = self.tree
@@ -89,16 +87,7 @@ class HaveSubUnit(TreeHandler):
     type_tag = "HaveSubUnit"
 
     def run(self, editor: Editor, event: Event) -> None:
-        parent_id = _parent(event)
-        registry = editor.registry
-        registry.check_types(*self.typed_ids(event.id, parent_id))
-        unit = registry.get_or_create(self.tree.container, event.id)
-        parent = registry.get_object_frame(self.tree.container, parent_id)
-        registry.set_link(unit, self.tree.up, parent)
-
-    def typed_ids(self, id: str, parent_id: str) -> tuple[tuple[str, str], ...]:
-        """The (type, id) pairs ``run`` fetches or creates."""
-        return (self.tree.container, id), (self.tree.container, parent_id)
+        editor.registry.place(self.tree.container, event.id, self.tree.up, _parent(event))
 
     def remove(self, editor: Editor, event: Event) -> None:
         detach(editor.registry, event.id, self.tree.up)
@@ -113,14 +102,9 @@ class HaveLeaf(TreeHandler):
     type_tag = "HaveLeaf"
 
     def run(self, editor: Editor, event: Event) -> None:
-        parent_id = _parent(event)
-        registry = editor.registry
         tree = self.tree
-        registry.check_types((tree.leaf, event.id), (tree.container, parent_id))
-        leaf = registry.get_or_create(tree.leaf, event.id)
-        parent = registry.get_object_frame(tree.container, parent_id)
-        registry.set_link(leaf, tree.leaf_up, parent)
-        registry.set_attribute(leaf, tree.leaf_attribute, event.params.get("vTag", ""))
+        vtag = event.params.get("vTag", "")
+        editor.registry.place(tree.leaf, event.id, tree.leaf_up, _parent(event), tree.leaf_attribute, vtag)
 
     def remove(self, editor: Editor, event: Event) -> None:
         detach(editor.registry, event.id, self.tree.leaf_up)

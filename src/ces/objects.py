@@ -232,6 +232,84 @@ class ObjectRegistry:
             if known != object_type:
                 raise TypeConflictError(f"id {id!r} is a {known}, requested {object_type}")
 
+    def place(
+        self, object_type: str, id: str, link: str, parent: str | None, attribute: str = "", value: str = ""
+    ) -> None:
+        """Write a tree increment: fetch or create ``id`` as a full model
+        object (promoting a frame), point its to-one ``link`` at the object
+        of the id ``parent``, fetched or created as a frame (None clears the
+        link), and set ``attribute`` to ``value`` unless ``attribute`` is
+        empty.  This is what :meth:`get_or_create`, :meth:`get_object_frame`,
+        :meth:`set_link` and :meth:`set_attribute` would do in turn, with one
+        lookup per id.  Both ids are type-checked, as :meth:`check_types`
+        does, before the first write, so a placement that fails leaves the
+        registry untouched."""
+        models, frames, token = self.model_objects, self.frames, self._token
+        end = self.schema.end_for(object_type, link)
+        if end.many:
+            raise SchemaError(f"link {link!r} is to-many; use add_to_many")
+        if not id or parent == "":
+            raise UnknownObjectError("object id must be non-empty")
+        wanted = end.other_type
+        obj = models.get(id) or frames.get(id)
+        known = object_type if obj is None else obj.object_type
+        if known != object_type:
+            raise TypeConflictError(f"id {id!r} is a {known}, requested {object_type}")
+        if parent is not None:
+            target = models.get(parent) or frames.get(parent)
+            if target is not None:
+                known = target.object_type
+            else:  # a new parent id, unless it is the new ``id`` itself
+                known = object_type if parent == id else wanted
+            if known != wanted:
+                raise TypeConflictError(f"id {parent!r} is a {known}, requested {wanted}")
+        # Only a live copy can hold an instance this registry owns.
+        shared = token.family is not None and any(
+            ref is not token and ref() is not None for ref in token.family
+        )
+        changed = self._changed
+        if obj is None:
+            obj = models[id] = self._create(object_type, id)
+        else:
+            if obj._owner is not token:
+                obj = self._hold(_duplicate(obj, token))
+            if models.get(id) is not obj:  # promote a frame
+                del frames[id]
+                models[id] = obj
+        old = obj.to_one.get(link)
+        if old != parent:
+            if shared:
+                self._unshare(obj)
+            if old is not None:
+                holder = self.find(old)
+                if holder is not None:
+                    self._discard(holder, end.other_name, id)
+                    changed[old] = None
+                del obj.to_one[link]
+            if parent is not None:
+                if parent == id:
+                    target = obj
+                elif target is None:
+                    target = frames[parent] = self._create(wanted, parent)
+                elif target._owner is not token:
+                    target = self._hold(_duplicate(target, token))
+                if shared:
+                    self._unshare(target)
+                obj.to_one[link] = parent
+                target.to_many.setdefault(end.other_name, set()).add(id)
+                changed[parent] = None
+            changed[id] = None
+        if attribute and (
+            obj.attributes.get(attribute) != value if value else attribute in obj.attributes
+        ):
+            if shared:
+                self._unshare(obj)
+            if value:
+                obj.attributes[attribute] = value
+            else:
+                del obj.attributes[attribute]
+            changed[id] = None
+
     def remove_model_object(self, id: str) -> ModelObject | None:
         """Demote a model object to a frame, which may still serve as
         context; returns the frame of the id, or None if it was never known."""
@@ -567,11 +645,15 @@ def dump_model(registry: ObjectRegistry) -> str:
     and link names ascending.
     """
     lines = []
-    for id in sorted(registry.model_objects):
-        obj = registry.model_objects[id]
-        attrs = ",".join(f"{k}={v}" for k, v in sorted(_attr_state(obj).items()))
-        links = ",".join(
-            f"{k}->{_render(v)}" for k, v in sorted(_link_state(obj).items())
-        )
-        lines.append(f"{obj.object_type} {id} {{{attrs}}} links{{{links}}}")
+    objects = registry.model_objects
+    for id in sorted(objects):
+        obj = objects[id]
+        attrs = ",".join([f"{k}={v}" for k, v in sorted(obj.attributes.items()) if v])
+        # As in _link_state, a to-many entry wins over a to-one of its name.
+        links = {k: v for k, v in obj.to_one.items() if v}
+        for k, v in obj.to_many.items():
+            if v:
+                links[k] = "{" + ",".join(sorted(v)) + "}"
+        rendered = ",".join([f"{k}->{v}" for k, v in sorted(links.items())])
+        lines.append(f"{obj.object_type} {id} {{{attrs}}} links{{{rendered}}}")
     return "\n".join(lines) + ("\n" if lines else "")

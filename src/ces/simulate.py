@@ -105,7 +105,7 @@ class ConvergenceReport:
             lines.extend(f"  {d}" for d in diffs)
         for name, dump in self.model_dumps.items():
             lines.append(f"model {name}:")
-            lines.extend(f"  {row}" for row in dump.splitlines())
+            lines.extend(f"  {row}" for row in dump.split("\n")[:-1])
         lines.append("trace:")
         lines.extend(f"  {row}" for row in self.trace)
         return "\n".join(lines) + "\n"
@@ -208,24 +208,31 @@ class Session:
         return frozenset(tag for tag in common if all(e._shared(tag) for e in editors))
 
     def report(self) -> ConvergenceReport:
-        """Digest the shared slice of every store and diff same-domain models."""
+        """Digest the shared slice of every store, diff same-domain models
+        and dump each model.  An editor whose slice equals an earlier
+        editor's shares that editor's digest, and one whose model has no
+        differences from an earlier one's shares its dump: equal events
+        encode to equal text, and equal canonical state dumps to it."""
+        editors = self.editors
+        names = list(editors)
         shared = self.shared_filter()
-        names = list(self.editors)
-        digests = {}
-        dumps = {}
-        for name, editor in self.editors.items():
-            digests[name] = editor.digest(shared)
-            dumps[name] = dump_model(editor.registry)
+        slices = {name: editor.active_events(shared) for name, editor in editors.items()}
+        digests = _render_once(
+            names, lambda a, b: slices[a] == slices[b], lambda name: editors[name].digest(shared)
+        )
         pair_diffs = {}
         converged = len(set(digests.values())) <= 1
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                if self.editors[a].domain.name != self.editors[b].domain.name:
+                if editors[a].domain.name != editors[b].domain.name:
                     continue
-                diffs = model_diff(self.editors[a].registry, self.editors[b].registry).differences
+                diffs = model_diff(editors[a].registry, editors[b].registry).differences
                 pair_diffs[(a, b)] = diffs
                 if diffs:
                     converged = False
+        dumps = _render_once(
+            names, lambda a, b: pair_diffs.get((a, b)) == [], lambda name: dump_model(editors[name].registry)
+        )
         return ConvergenceReport(
             converged=converged,
             digests=digests,
@@ -233,6 +240,16 @@ class Session:
             pair_diffs=pair_diffs,
             trace=list(self.trace),
         )
+
+
+def _render_once(names: list[str], same, render) -> dict[str, str]:
+    """``render(name)`` for each name, in order, but a name for which
+    ``same(earlier, name)`` holds takes that earlier name's text."""
+    texts: dict[str, str] = {}
+    for i, name in enumerate(names):
+        twin = next((earlier for earlier in names[:i] if same(earlier, name)), None)
+        texts[name] = texts[twin] if twin is not None else render(name)
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +288,15 @@ def _parse_kv(tokens: list[str], line: int) -> dict[str, str]:
 
 def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> ConvergenceReport:
     """Read a whole session script, then run it and return its convergence
-    report.  A malformed line is a :class:`ScriptError` naming that line,
-    raised before any command runs."""
+    report.  Lines end at ``"\\n"`` only, as in the event text: a carriage
+    return before it is stripped with the other whitespace around the line,
+    and a quoted value may hold U+2028, U+0085 or a lone carriage return.
+    A malformed line is a :class:`ScriptError` naming that line, raised
+    before any command runs."""
     options: dict = {"seed": seed}
     editors: dict[str, Domain] = {}
     actions: list[tuple[str, Event] | None] = []  # a submit, or None for a flush
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -5,7 +5,7 @@ import re
 import sys
 import threading
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ces import events as events_module
 from ces.events import (
+    LAST_TIME,
     TIMESTAMP_RE,
     Clock,
     DecodeError,
@@ -73,6 +74,34 @@ def test_stepping_clock_is_deterministic():
     a = stepping_clock(T0, step_ms=10)
     b = stepping_clock(T0, step_ms=10)
     assert [a.now() for _ in range(3)] == [b.now() for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "start, step_ms, first",
+    [
+        ("2020-01-01T00:00:00.000Z", 1000, ["2020-01-01T00:00:00.000Z", "2020-01-01T00:00:01.000Z", "2020-01-01T00:00:02.000Z"]),
+        ("1999-12-31T23:59:58.500Z", 1000, ["1999-12-31T23:59:58.500Z", "1999-12-31T23:59:59.500Z", "2000-01-01T00:00:00.500Z"]),
+        ("2020-02-28T23:59:59.998Z", 1, ["2020-02-28T23:59:59.998Z", "2020-02-28T23:59:59.999Z", "2020-02-29T00:00:00.000Z"]),
+        ("0999-12-31T23:59:59.000Z", 500, ["0999-12-31T23:59:59.000Z", "0999-12-31T23:59:59.500Z", "1000-01-01T00:00:00.000Z"]),
+        ("2021-03-04T05:06:07.089Z", 86_400_000, ["2021-03-04T05:06:07.089Z", "2021-03-05T05:06:07.089Z", "2021-03-06T05:06:07.089Z"]),
+    ],
+)
+def test_stepping_clock_first_stamps(start, step_ms, first):
+    # Pinned stamps, so a change of the clock's base cannot shift them.
+    clock = stepping_clock(start, step_ms)
+    assert [clock.now() for _ in first] == first
+
+
+@pytest.mark.parametrize("start", ["9999-12-31T23:59:59.500Z", LAST_TIME])
+def test_stepping_clock_near_the_last_time_stays_at_it(start):
+    clock = stepping_clock(start)
+    assert [clock.now() for _ in range(4)] == [start] + [LAST_TIME] * 3
+
+
+def test_a_clock_stamps_utc_whatever_zone_its_source_reads():
+    plus_two = timezone(timedelta(hours=2))
+    clock = Clock(source=lambda: datetime(2020, 1, 1, 1, 30, 0, 250_000, tzinfo=plus_two))
+    assert [clock.now(), clock.now()] == ["2019-12-31T23:30:00.250Z", "2019-12-31T23:30:00.251Z"]
 
 
 @given(

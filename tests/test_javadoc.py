@@ -97,6 +97,7 @@ def test_sub_unit_remove_demotes_folder_and_doc_file(doc_editor):
     assert "Editor" in registry.model_objects
 
 
+@pytest.mark.parametrize("live_clone", [False, True])
 @pytest.mark.parametrize(
     "events",
     [
@@ -109,12 +110,15 @@ def test_sub_unit_remove_demotes_folder_and_doc_file(doc_editor):
         [Event("HaveSubUnit", id="x", time=T[1], params={"parent": "x.Doc"})],
     ],
 )
-def test_type_conflict_leaves_model_and_store_untouched(events):
+def test_type_conflict_leaves_model_and_store_untouched(events, live_clone):
     editor = run(events[:-1])
-    before = snapshot(editor)
-    with pytest.raises(TypeConflictError, match="'x.Doc' is a Folder, requested DocFile"):
-        editor.execute(events[-1])
-    assert snapshot(editor) == before
+    # With a live clone, either side's writes take the copy-on-write branch.
+    editors = [editor, editor.clone()] if live_clone else [editor]
+    before = [snapshot(e) for e in editors]
+    for writer in editors:
+        with pytest.raises(TypeConflictError, match="'x.Doc' is a Folder, requested DocFile"):
+            writer.execute(events[-1])
+        assert [snapshot(e) for e in editors] == before
 
 
 def test_remove_handlers_tolerate_unknown_ids():

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, ModelObject, model_equal
+from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, ModelObject, dump_model, model_equal
 from ces.editor import CommandError
 from ces.events import equals_but_time
 from ces.objects import TypeConflictError
@@ -83,6 +83,7 @@ def test_missing_parent_leaves_model_and_store_untouched(domain, tag):
     assert (registry.model_objects, registry.frames, editor.active_commands) == before
 
 
+@pytest.mark.parametrize("live_clone", [False, True])
 @pytest.mark.parametrize(
     "tag, id, parent, conflict",
     [
@@ -92,17 +93,42 @@ def test_missing_parent_leaves_model_and_store_untouched(domain, tag):
         ("HaveLeaf", "p", "q", "'p' is a JavaPackage, requested JavaClass"),
     ],
 )
-def test_type_conflict_leaves_model_and_store_untouched(tag, id, parent, conflict):
+def test_type_conflict_leaves_model_and_store_untouched(tag, id, parent, conflict, live_clone):
     editor = run(
         [
             Event("HaveRoot", id="p", time=T[0]),
             Event("HaveLeaf", id="Y", time=T[1], params={"parent": "p"}),
         ]
     )
-    before = snapshot(editor)
-    with pytest.raises(TypeConflictError, match=conflict):
-        editor.execute(Event(tag, id=id, time=T[2], params={"parent": parent}))
-    assert snapshot(editor) == before
+    # With a live clone, either side's writes take the copy-on-write branch.
+    editors = [editor, editor.clone()] if live_clone else [editor]
+    before = [snapshot(e) for e in editors]
+    for writer in editors:
+        with pytest.raises(TypeConflictError, match=conflict):
+            writer.execute(Event(tag, id=id, time=T[2], params={"parent": parent}))
+        assert [snapshot(e) for e in editors] == before
+
+
+@pytest.mark.parametrize("domain", [JAVA_PACKAGES, JAVA_DOC], ids=lambda d: d.name)
+@pytest.mark.parametrize("writer", ["source", "clone"])
+@pytest.mark.parametrize("seed", range(5))
+def test_tree_writes_leave_a_live_clone_its_pre_image(seed, writer, domain):
+    head = random_command_sequence(30, seed)
+    tail = random_command_sequence(30, seed + 100, base_time="2020-01-02T00:00:00.000Z")
+    source = replay(head, domain)
+    editors = {"source": source, "clone": source.clone()}
+    other = editors["clone" if writer == "source" else "source"]
+
+    def image(editor):
+        registry = editor.registry
+        return dump_model(registry), copy.deepcopy(registry.frames), dict(editor.active_commands)
+
+    before = image(other)
+    for event in tail:
+        editors[writer].execute(event)
+    assert image(other) == before
+    assert image(editors[writer]) == image(replay(head + tail, domain))
+    assert editors[writer].registry.consistency_violations() == []
 
 
 def test_have_leaf_sets_class_package_and_vtag(packages_editor):

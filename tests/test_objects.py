@@ -103,6 +103,72 @@ def test_empty_id_is_rejected(registry):
         registry.get_or_create("JavaPackage", "")
 
 
+@pytest.mark.parametrize(
+    "placement, error",
+    [
+        (("JavaPackage", "q", "subPackages", "p"), SchemaError),  # a to-many link
+        (("JavaPackage", "q", "pack", "p"), SchemaError),  # another type's link
+        (("JavaPackage", "", "pPack", "p"), UnknownObjectError),
+        (("JavaPackage", "q", "pPack", ""), UnknownObjectError),
+        (("JavaClass", "c", "pack", "p"), TypeConflictError),  # c is a package
+        (("JavaClass", "q", "pack", "x"), TypeConflictError),  # x is a class
+        (("JavaClass", "q", "pack", "q"), TypeConflictError),  # one new id, two types
+    ],
+)
+def test_place_refuses_before_any_write(registry, placement, error):
+    registry.get_or_create("JavaPackage", "c")
+    registry.set_link(registry.get_or_create("JavaClass", "x"), "pack", "c")
+    before = copy.deepcopy((registry.model_objects, registry.frames, registry.changed_ids))
+    with pytest.raises(error):
+        registry.place(*placement, "vTag", "1")
+    assert (registry.model_objects, registry.frames, registry.changed_ids) == before
+
+
+_PLACEMENTS = st.tuples(
+    st.sampled_from([("JavaPackage", "pPack"), ("JavaClass", "pack")]),
+    st.sampled_from("abc"),
+    st.sampled_from([None, "a", "b", "c"]),
+    st.sampled_from(["", "1", "2"]),
+)
+
+
+@given(st.lists(_PLACEMENTS, max_size=12), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_place_does_what_the_five_calls_did(placements, live_copy):
+    # The reference: check_types, get_or_create, get_object_frame, set_link
+    # and set_attribute, the sequence the tree handlers ran before place.
+    placed, stepped = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    copies = []
+    for index, ((object_type, link), id, parent, vtag) in enumerate(placements):
+        if live_copy and index == len(placements) // 2:
+            copies = [(placed.copy(), dump_model(placed)), (stepped.copy(), dump_model(stepped))]
+        attribute = "vTag" if object_type == "JavaClass" else ""
+        outcomes = []
+        try:
+            placed.place(object_type, id, link, parent, attribute, vtag)
+            outcomes.append(None)
+        except CesError as exc:
+            outcomes.append(type(exc))
+        try:
+            wanted = [(object_type, id)] + ([("JavaPackage", parent)] if parent else [])
+            stepped.check_types(*wanted)
+            obj = stepped.get_or_create(object_type, id)
+            target = stepped.get_object_frame("JavaPackage", parent) if parent else None
+            stepped.set_link(obj, link, target)
+            if attribute:
+                stepped.set_attribute(obj, attribute, vtag)
+            outcomes.append(None)
+        except CesError as exc:
+            outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert dump_model(placed) == dump_model(stepped)
+        assert placed.frames == stepped.frames
+        assert list(placed._changed) == list(stepped._changed)
+        assert placed.consistency_violations() == []
+    for copied, dump in copies:
+        assert dump_model(copied) == dump
+
+
 def test_remove_demotes_model_object_to_frame(registry):
     fulib = registry.get_or_create("JavaPackage", "fulib")
     assert registry.remove_model_object("fulib") is fulib

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from ces import Event, JAVA_DOC, JAVA_PACKAGES, model_equal
+from ces import Event, JAVA_DOC, JAVA_PACKAGES, dump_model, model_equal
 from ces.cli import DOMAINS
-from ces.simulate import Channel, ScriptError, Session, run_script
+from ces.simulate import Channel, ConvergenceReport, ScriptError, Session, run_script
 from ces.editor import CommandError, LoadError
 from ces.events import OverwriteStrategy, encode
 from ces.oracles import random_command_sequence
@@ -177,6 +177,28 @@ def test_pure_loss_non_convergence_is_reported_not_thrown():
     assert report.pair_diffs[("alice", "bob")] != []
 
 
+@pytest.mark.parametrize("eventual", [True, False])
+def test_each_reported_dump_and_digest_is_its_editors_own(eventual):
+    # Two editors per domain; lossy channels without eventual delivery
+    # leave same-domain models apart, so the report renders each of them.
+    session = Session(seed=4, drop=0.3, duplicate=0.3, reorder=True, eventual=eventual)
+    for name, domain in [("pk0", JAVA_PACKAGES), ("doc0", JAVA_DOC), ("pk1", JAVA_PACKAGES), ("doc1", JAVA_DOC)]:
+        session.add_editor(name, domain)
+    names = list(session.editors)
+    for index, event in enumerate(random_command_sequence(60, 8)):
+        session.submit(names[index % len(names)], event)
+        if index % 5 == 4:
+            session.flush()
+    session.settle()
+    report = session.report()
+    assert report.converged == eventual
+    assert len(report.pair_diffs) == 2
+    assert all(not diffs for diffs in report.pair_diffs.values()) == eventual
+    for name, editor in session.editors.items():
+        assert report.model_dumps[name] == dump_model(editor.registry)
+        assert report.digests[name] == editor.digest(session.shared_filter())
+
+
 def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
     # Editors interact only through encoded event text, so replaying each
     # editor's feed on its own thread must land in the same final state.
@@ -327,6 +349,39 @@ def test_script_strategy_directive():
     report = run_script(script, DOMAINS, seed=0)
     assert report.converged
     assert "vTag=1.0" in report.to_text()
+
+
+def test_script_lines_end_at_newline_only():
+    # U+2028, U+0085 and a lone CR are text, as in the event format, so a
+    # quoted value may hold them; a CR before a newline is stripped.
+    script = ALICE_BOB_SCRIPT + (
+        'submit alice HaveLeaf X parent=serv vTag="a\u2028b" note="c\x85d\re" time=2020-01-01T13:38:00.000Z\n'
+    )
+    for text in (script, script.replace("\n", "\r\n")):
+        report = run_script(text, DOMAINS, seed=0)
+        assert report.converged
+        rows = report.to_text().split("\n")
+        assert rows.count("  JavaClass X {vTag=a\u2028b} links{pack->serv}") == 2
+
+
+def test_script_errors_count_lines_at_newlines_only():
+    script = "editor alice javapackages\n# a comment \u2028 with a separator\r\nteleport alice\n"
+    with pytest.raises(ScriptError, match="^line 3: unknown directive 'teleport'"):
+        run_script(script, DOMAINS, seed=0)
+
+
+def test_report_text_keeps_each_model_row_whole():
+    dump = "JavaClass X {vTag=a\u2028b\x85c} links{pack->p}\nJavaPackage p {} links{classes->{X}}\n"
+    report = ConvergenceReport(converged=True, digests={}, model_dumps={"alice": dump, "bob": ""})
+    assert report.to_text().split("\n") == [
+        "converged: yes",
+        "model alice:",
+        "  JavaClass X {vTag=a\u2028b\x85c} links{pack->p}",
+        "  JavaPackage p {} links{classes->{X}}",
+        "model bob:",
+        "trace:",
+        "",
+    ]
 
 
 @pytest.mark.parametrize(
