@@ -229,9 +229,8 @@ class Editor:
         """Rebuild commands from (possibly directly edited) model objects.
 
         Offers each object to every handler's parse, then adopts the objects
-        (see :meth:`ObjectRegistry.register_parsed`): an edited instance
-        replaces the held one even when its commands are unchanged, takes
-        over the held state, and stays adopted if a later one raises.  An
+        (see :meth:`ObjectRegistry.register_parsed`), even those whose
+        commands are unchanged; they stay adopted if a later one raises.  An
         instance of an unknown id is adopted only when a command was
         recovered from it, so no parse leaves a bare frame behind.  Whether
         an id is known is read from the raw maps, so parsing the instances

@@ -261,6 +261,11 @@ def _scalar(value: str) -> str:
     bad = _UNSUPPORTED.search(value)
     if bad is not None:
         raise EncodeError(f"unsupported control character {bad.group()!r} in value")
+    return _quoted(value)
+
+
+def _quoted(value: str) -> str:
+    """``value`` in double quotes, with quotes, backslashes, tabs and line breaks escaped."""
     return '"' + _ESCAPED.sub(lambda m: _ESCAPES[m.group()], value) + '"'
 
 

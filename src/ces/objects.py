@@ -4,21 +4,22 @@ two-map registry that governs object identity and lifecycle.
 Each known id lives in exactly one of two maps.  ``model_objects`` holds
 fully initialized objects; ``frames`` holds context-only stand-ins: ids some
 command referenced before (or without) a creating command, and directly
-created objects a mutation touched.  A parse pass adopts the directly edited
-instances into these maps, so they are reused instead of duplicated; each
-takes over the state held for its id.  A copy of a registry shares its
-instances until one of them is written (copy-on-write, see
-:class:`ObjectRegistry`).
+created objects a mutation wrote.  A parse pass and every mutation adopt
+the instances they are given into these maps by one rule: each takes over
+the state held for its id (see :meth:`ObjectRegistry.register_parsed`).  A
+copy of a registry shares its instances until one of them is written
+(copy-on-write, see :class:`ObjectRegistry`).
 """
 
 from __future__ import annotations
 
 import copy
+import re
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .events import CesError
+from .events import CesError, _quoted
 
 
 class SchemaError(CesError):
@@ -148,9 +149,8 @@ class ObjectRegistry:
 
     All attribute and link edits go through the registry so that both link
     ends stay consistent and changed objects are tracked for incremental
-    parsing.  A mutation edits the instance held for each id it is given,
-    not a copy.  A touched object whose id no map holds joins the frames,
-    as a duplicate when another live registry owns it.
+    parsing.  A mutation adopts each instance it is given (see
+    :meth:`register_parsed`) and then edits it.
 
     :meth:`copy` is copy-on-write.  Every instance carries the token of the
     one registry that owns it, and only its owner writes it in place.
@@ -319,24 +319,32 @@ class ObjectRegistry:
         return self.find(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
-        """Adopt a directly edited instance into the map holding its id, else
-        the frames.  It takes over the held state (bare for a new id), so its
-        edits reach the model only through the commands parsed from it and
-        every link stays two-sided; another type raises TypeConflictError.
-        An instance that another live registry owns is adopted as a copy.
-        Any other live registry that holds the instance keeps its pre-image:
-        a copy of this registry, or of the instance's owner, even when that
-        owner is gone."""
+        """Adopt a directly edited instance, unless it is the held one; the
+        mutations adopt the instances they are given by this same rule, a
+        new id's only once they write it (see :meth:`_take`).  The
+        instance replaces the one held for its id and takes over the held
+        state, bare for a new id, so its edits reach the model only through
+        the commands parsed from it and every link stays two-sided; another
+        type raises TypeConflictError.  An instance that another live
+        registry owns is adopted as a copy.  Any other live registry that
+        holds the instance keeps its pre-image: a copy of this registry, or
+        of the instance's owner, even when that owner is gone."""
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
-        if held is obj:
-            return
-        obj = self._unborrowed(obj)
-        state = _duplicate(held) if held else ModelObject(obj.object_type, obj.id)
+        if held is not obj:
+            self._hold(self._adopted(obj, held))
+
+    def _adopted(self, obj: ModelObject, held: ModelObject | None) -> ModelObject:
+        """The instance that holds ``obj.id`` once ``obj`` is adopted in
+        place of ``held`` (None for a new id), not yet put in a map."""
+        state = _duplicate(held, self._token) if held else self._create(obj.object_type, obj.id)
         self._checked(state, obj.object_type)
+        owner = obj._owner and obj._owner()
+        if owner is not None and owner is not self:
+            return state
         self._unshare(obj)
         obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
         obj._owner = self._token
-        self._hold(obj)
+        return obj
 
     def copy(self) -> "ObjectRegistry":
         """A copy-on-write twin: new maps and a new change set that share
@@ -365,11 +373,6 @@ class ObjectRegistry:
                 target[key] = _duplicate(obj, copied._token)
         copied._changed = dict(self._changed)
         return copied
-
-    def _unborrowed(self, obj: ModelObject) -> ModelObject:
-        """``obj``, or a duplicate of it when another live registry owns it."""
-        owner = obj._owner and obj._owner()
-        return _duplicate(obj) if owner is not None and owner is not self else obj
 
     def _unshare(self, obj: ModelObject) -> None:
         """Before ``obj`` is written in place, give every other live
@@ -400,46 +403,67 @@ class ObjectRegistry:
         self._changed.clear()
 
     def _mark(self, obj: ModelObject) -> None:
-        if obj.id not in self.model_objects and obj.id not in self.frames:
-            obj._owner = self._token
-            self.frames[obj.id] = obj
         self._changed[obj.id] = None
+
+    def _writable(self, obj: ModelObject) -> None:
+        """Before a mutation writes ``obj`` in place: hold it if its id is
+        new (so a mutation that writes nothing holds no new id), and unshare it."""
+        if obj.id not in self.model_objects and obj.id not in self.frames:
+            self.frames[obj.id] = obj
+        self._unshare(obj)
 
     # -- attribute and link mutation -------------------------------------------
 
     def set_attribute(self, obj: ModelObject, name: str, value: str) -> None:
         """Set an attribute; an empty value removes it (absent and empty are
         one canonical state)."""
-        obj = self._held(obj)
-        if value:
-            if obj.attributes.get(name) != value:
-                self._unshare(obj)
+        obj = self._take(obj)[1]
+        if obj.attributes.get(name) != value if value else name in obj.attributes:
+            self._writable(obj)
+            if value:
                 obj.attributes[name] = value
-                self._mark(obj)
-        elif name in obj.attributes:
-            self._unshare(obj)
-            del obj.attributes[name]
+            else:
+                del obj.attributes[name]
             self._mark(obj)
 
-    def _held(self, obj: ModelObject) -> ModelObject:
-        """The instance :meth:`find` hands out for ``obj.id``, else ``obj``
-        itself, or a duplicate of it when another live registry owns it."""
-        held = self.find(obj.id)
-        if held is None:
-            return self._unborrowed(obj)
-        if held is obj:
-            return obj
-        return self._checked(held, obj.object_type)
-
-    def _resolve(self, target: ModelObject | str | None, expected_type: str) -> ModelObject | None:
-        if target is None:
-            return None
+    def _take(
+        self, obj: ModelObject, link: str = "", many: bool = False, target: ModelObject | str | None = None
+    ) -> tuple[LinkEnd | None, ModelObject, ModelObject | None]:
+        """A mutation's operands, checked and only then adopted: the end of
+        ``obj``'s ``link`` (None for an attribute), to-many exactly when
+        ``many``, and the instances of ``obj`` and ``target`` (an instance,
+        a held id, or None) to write.  A failed check, an empty id among
+        them, changes nothing.  The instance of a new id is adopted but
+        joins the frames only at the mutation's first write (see
+        :meth:`_writable`)."""
+        end = self.schema.end_for(obj.object_type, link) if link else None
+        if end is not None and end.many != many:
+            hint = "many; use add_to_many" if end.many else "one; use set_link"
+            raise SchemaError(f"link {link!r} is to-{hint}")
         if isinstance(target, str):
-            found = self.find(target)
-            if found is None:
+            if (found := self.model_objects.get(target) or self.frames.get(target)) is None:
                 raise UnknownObjectError(f"unknown object id {target!r}")
-            return self._checked(found, expected_type)
-        return self._held(self._checked(target, expected_type))
+            target = found
+        models, frames, token = self.model_objects, self.frames, self._token
+        if obj._owner is token and (models.get(obj.id) or frames.get(obj.id)) is obj and (
+            target is None
+            or target._owner is token and target.object_type == end.other_type
+            and (models.get(target.id) or frames.get(target.id)) is target
+        ):  # held instances, the common case, skip the checks they pass
+            return end, obj, target
+        given = [obj] if target is None else [self._checked(target, end.other_type), obj]
+        if not all(instance.id for instance in given):
+            raise UnknownObjectError("object id must be non-empty")
+        self.check_types(*[(instance.object_type, instance.id) for instance in given])
+        # The target goes first, so an instance of its id given as obj takes its place.
+        taken = {}
+        for instance in given:
+            if instance.id not in models and instance.id not in frames:
+                taken[instance.id] = self._adopted(instance, None)
+            else:
+                self.register_parsed(instance)
+                taken[instance.id] = self.find(instance.id)
+        return end, taken[obj.id], None if target is None else taken[target.id]
 
     def _discard(self, holder: ModelObject, link: str, id: str) -> None:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""
@@ -454,16 +478,12 @@ class ObjectRegistry:
         """Point a to-one link at ``target`` (object, id, or None to clear),
         keeping the reverse end consistent.  Reassignment detaches the old
         target first."""
-        end = self.schema.end_for(obj.object_type, link)
-        if end.many:
-            raise SchemaError(f"link {link!r} is to-many; use add_to_many")
-        obj = self._held(obj)
-        target_obj = self._resolve(target, end.other_type)
+        end, obj, target_obj = self._take(obj, link, False, target)
         old_id = obj.to_one.get(link)
         new_id = target_obj.id if target_obj is not None else None
         if old_id == new_id:
             return
-        self._unshare(obj)
+        self._writable(obj)
         if old_id is not None:
             old_obj = self.find(old_id)
             if old_obj is not None:
@@ -472,7 +492,7 @@ class ObjectRegistry:
             del obj.to_one[link]
         if target_obj is not None:
             obj.to_one[link] = target_obj.id
-            self._unshare(target_obj)
+            self._writable(target_obj)
             target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
             self._mark(target_obj)
         self._mark(obj)
@@ -484,29 +504,21 @@ class ObjectRegistry:
         """Add ``target`` to a to-many link set.  If the reverse end is
         to-one this is the reverse view of a reassignment and delegates to
         :meth:`set_link`."""
-        end = self.schema.end_for(obj.object_type, link)
-        if not end.many:
-            raise SchemaError(f"link {link!r} is to-one; use set_link")
-        obj = self._held(obj)
-        target_obj = self._resolve(target, end.other_type)
+        end, obj, target_obj = self._take(obj, link, True, target)
         if not end.other_many:
             self.set_link(target_obj, end.other_name, obj)
             return
         if target_obj.id in obj.to_many.get(link, ()):
             return
-        self._unshare(obj)
-        self._unshare(target_obj)
+        self._writable(obj)
+        self._writable(target_obj)
         obj.to_many.setdefault(link, set()).add(target_obj.id)
         target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
         self._mark(obj)
         self._mark(target_obj)
 
     def remove_from_many(self, obj: ModelObject, link: str, target: ModelObject | str) -> None:
-        end = self.schema.end_for(obj.object_type, link)
-        if not end.many:
-            raise SchemaError(f"link {link!r} is to-one; use set_link")
-        obj = self._held(obj)
-        target_obj = self._resolve(target, end.other_type)
+        end, obj, target_obj = self._take(obj, link, True, target)
         if not end.other_many:
             if target_obj.to_one.get(end.other_name) == obj.id:
                 self.set_link(target_obj, end.other_name, None)
@@ -638,22 +650,35 @@ def model_equal(a: ObjectRegistry, b: ObjectRegistry) -> bool:
     return not model_diff(a, b).differences
 
 
+# The fields dump_model quotes: those holding a row or field delimiter, and ids
+# also holding a space or "->".  So two models that differ never dump alike.
+_DELIMITED = re.compile(r'[\n\r"\\,={}]')
+_DELIMITED_ID = re.compile(r'[\n\r"\\,={} ]')
+
+
+def _field(text: str) -> str:
+    return text if _DELIMITED.search(text) is None else _quoted(text)
+
+
 def dump_model(registry: ObjectRegistry) -> str:
     """Deterministic one-line-per-object dump, used for golden-file tests.
 
     Format: ``TYPE id {attr=val,...} links{name->id,name->{ids}}`` with ids
-    and link names ascending.
+    and link names ascending; a field that holds a delimiter is written in
+    the codec's quoted form.
     """
     lines = []
     objects = registry.model_objects
+    # Check each held id once, not in every row and link: a link names a held id.
+    quoted = {id: _quoted(id) for id in [*objects, *registry.frames] if _DELIMITED_ID.search(id) or "->" in id}.get
     for id in sorted(objects):
         obj = objects[id]
-        attrs = ",".join([f"{k}={v}" for k, v in sorted(obj.attributes.items()) if v])
+        attrs = ",".join([f"{_field(k)}={_field(v)}" for k, v in sorted(obj.attributes.items()) if v])
         # As in _link_state, a to-many entry wins over a to-one of its name.
-        links = {k: v for k, v in obj.to_one.items() if v}
+        links = {k: quoted(v, v) for k, v in obj.to_one.items() if v}
         for k, v in obj.to_many.items():
             if v:
-                links[k] = "{" + ",".join(sorted(v)) + "}"
+                links[k] = "{" + ",".join([quoted(t, t) for t in sorted(v)]) + "}"
         rendered = ",".join([f"{k}->{v}" for k, v in sorted(links.items())])
-        lines.append(f"{obj.object_type} {id} {{{attrs}}} links{{{rendered}}}")
+        lines.append(f"{obj.object_type} {quoted(id, id)} {{{attrs}}} links{{{rendered}}}")
     return "\n".join(lines) + ("\n" if lines else "")

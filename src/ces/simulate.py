@@ -11,7 +11,7 @@ import random
 import shlex
 from dataclasses import dataclass, field
 
-from .editor import Domain, Editor
+from .editor import Domain, Editor, text_digest
 from .events import (
     BASE_TIME,
     CesError,
@@ -160,9 +160,8 @@ class Session:
         if applied is None:
             self.trace.append(f"submit {name}: ignored {event.type_tag} {event.id}")
             return None
-        text = encode([applied])
         if editor._shared(applied.type_tag):
-            message = tuple(decode(text))
+            message = tuple(decode(encode([applied])))
             for other in self.editors:
                 if other != name:
                     self.channels[(name, other)].submit(message)
@@ -218,7 +217,7 @@ class Session:
         shared = self.shared_filter()
         slices = {name: editor.active_events(shared) for name, editor in editors.items()}
         digests = _render_once(
-            names, lambda a, b: slices[a] == slices[b], lambda name: editors[name].digest(shared)
+            names, lambda a, b: slices[a] == slices[b], lambda name: text_digest(encode(slices[name]))
         )
         pair_diffs = {}
         converged = len(set(digests.values())) <= 1

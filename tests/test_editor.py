@@ -760,8 +760,8 @@ def test_linking_from_a_copy_of_a_known_object_links_the_held_one():
     copy = ModelObject("JavaPackage", "p1")
     registry.set_link(copy, "pPack", "org")
     assert registry.consistency_violations() == []
-    assert registry.find("p1").to_one == {"pPack": "org"}
-    assert copy.to_one == {}
+    assert registry.find("p1") is copy
+    assert copy.to_one == {"pPack": "org"}
     editor.parse(registry.changed_objects())
     assert registry.consistency_violations() == []
     assert editor.get_active("p1").params == {"parent": "org"}

@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ces.events import CesError
+from ces.events import CesError, Event
 from ces.javapackages import JAVA_PACKAGES_SCHEMA
 from ces.objects import (
     Association,
@@ -576,6 +576,45 @@ def test_dump_model_is_deterministic_and_sorted():
     assert "JavaClass Editor {vTag=1.0} links{pack->org}" in text
 
 
+def test_a_value_holding_a_line_break_dumps_as_one_row(registry):
+    forged = "a\nJavaPackage q {} links{}"
+    registry.set_attribute(registry.get_or_create("JavaClass", "X"), "vTag", forged)
+    assert dump_model(registry) == 'JavaClass X {vTag="a\\nJavaPackage q {} links{}"} links{}\n'
+
+
+def test_dump_model_quotes_only_the_fields_that_hold_a_delimiter(registry):
+    org = registry.get_or_create("JavaPackage", "org")
+    registry.set_attribute(org, "note", "fulib docu")
+    registry.set_attribute(org, "a=b", 'say "hi"')
+    for child in ("sub pkg", "x->y", "p,q"):
+        registry.set_link(registry.get_or_create("JavaPackage", child), "pPack", org)
+    rows = dump_model(registry).splitlines()
+    assert rows[0] == 'JavaPackage org {"a=b"="say \\"hi\\"",note=fulib docu} links{subPackages->{"p,q","sub pkg","x->y"}}'
+    assert rows[1:] == [f'JavaPackage "{id}" {{}} links{{pPack->org}}' for id in ("p,q", "sub pkg", "x->y")]
+
+
+_DUMP_TEXT = st.text(alphabet=' ab,={}"\\\n\r->', max_size=5)
+_DUMP_OBJECTS = st.lists(st.tuples(_DUMP_TEXT, st.dictionaries(_DUMP_TEXT, _DUMP_TEXT, max_size=2)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DUMP_OBJECTS, st.data())
+def test_dump_model_tells_any_two_models_apart(objects, data):
+    def build(objects):
+        registry = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+        for id, attributes in objects:
+            if id:
+                obj = registry.get_or_create("JavaPackage", id)
+                for key, value in attributes.items():
+                    registry.set_attribute(obj, key, value)
+        return registry
+
+    other = data.draw(st.one_of(st.just(objects), _DUMP_OBJECTS))
+    a, b = build(objects), build(other)
+    assert (dump_model(a) == dump_model(b)) == model_equal(a, b)
+    assert len(dump_model(a).splitlines()) == len(a.model_objects)
+
+
 # -- consistency property -----------------------------------------------------------
 
 
@@ -846,3 +885,208 @@ def test_a_deep_copy_of_a_registry_owns_its_instances():
     source.register_parsed(edited)
     assert source.find("x") is edited
 
+
+# -- one adoption rule: what a mutation does with the instance it is given -------
+
+
+def test_a_mutation_drops_the_raw_links_of_a_new_instance(registry):
+    given = ModelObject("JavaClass", "x", to_one={"pack": "ghost"})
+    registry.set_attribute(given, "vTag", "1")
+    assert registry.consistency_violations() == []
+    assert registry.frames["x"] is given and given.to_one == {}
+    registry.get_or_create("JavaClass", "x")
+    assert dump_model(registry) == "JavaClass x {vTag=1} links{}\n"
+
+
+def test_a_mutation_drops_the_links_of_another_registrys_instance():
+    owner, other = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    owner.set_link(owner.get_or_create("JavaClass", "c"), "pack", owner.get_or_create("JavaPackage", "q"))
+    before = dump_model(owner)
+    other.set_attribute(owner.find("c"), "vTag", "2")
+    assert other.consistency_violations() == []
+    assert other.find("c").to_one == {} and other.find("c").attributes == {"vTag": "2"}
+    assert dump_model(owner) == before
+
+
+def test_two_new_instances_of_one_id_as_object_and_target_link_consistently(registry):
+    obj, target = ModelObject("JavaPackage", "x"), ModelObject("JavaPackage", "x")
+    registry.set_link(obj, "pPack", target)
+    assert registry.consistency_violations() == []
+    assert registry.find("x") is obj
+    assert obj.to_one == {"pPack": "x"} and obj.to_many == {"subPackages": {"x"}}
+
+
+_WRITING_NOTHING = {
+    "set_attribute": lambda registry, x: registry.set_attribute(x, "vTag", ""),
+    "set_link": lambda registry, x: registry.set_link(x, "pack", None),
+    "remove_from_many": lambda registry, x: registry.remove_from_many(registry.find("org"), "classes", x),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_WRITING_NOTHING))
+def test_a_mutation_that_writes_nothing_holds_no_new_id(packages_editor, mutation):
+    registry = packages_editor.registry
+    before = _state(registry)
+    _WRITING_NOTHING[mutation](registry, ModelObject("JavaClass", "x"))
+    assert _state(registry) == before
+    # So this replica takes in a peer's x of another type, as every other replica does.
+    peer = Event("HaveSubUnit", id="x", time="2020-01-01T14:00:00.000Z", params={"parent": "org"})
+    assert packages_editor.load([peer]) == 1
+    assert registry.find("x").object_type == "JavaPackage"
+    assert registry.consistency_violations() == []
+
+
+_EMPTY_IDS = {
+    "object": lambda registry: registry.set_link(ModelObject("JavaClass", ""), "pack", "org"),
+    "attribute": lambda registry: registry.set_attribute(ModelObject("JavaClass", ""), "vTag", "1"),
+    "target": lambda registry: registry.add_to_many(registry.find("org"), "classes", ModelObject("JavaClass", "")),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_EMPTY_IDS))
+def test_a_mutation_refuses_an_instance_with_an_empty_id(packages_editor, mutation):
+    registry = packages_editor.registry
+    before = _state(registry)
+    with pytest.raises(UnknownObjectError, match="non-empty"):
+        _EMPTY_IDS[mutation](registry)
+    assert _state(registry) == before
+    # At the parent the instance was held, and its parse stored a class without an id.
+    assert packages_editor.parse(registry.changed_objects()) == 0
+
+
+def _state(registry: ObjectRegistry):
+    """Both maps (the identity and the contents of every instance) and the
+    changed ids."""
+    maps = [
+        {key: (id(obj), copy.deepcopy(obj)) for key, obj in held.items()}
+        for held in (registry.model_objects, registry.frames)
+    ]
+    return maps, registry.changed_ids
+
+
+_KINDS = ["bare", "raw_linked", "foreign", "deep_copy"]
+
+
+def _given(kind: str, registry: ObjectRegistry, object_type: str, id: str, lenders: list) -> ModelObject:
+    """An instance of ``(object_type, id)`` of one kind, for a mutation of
+    ``registry``: bare, with raw attributes and one-sided links, another
+    live registry's (kept alive in ``lenders``), or a deep copy of the held
+    instance (else of another registry's)."""
+    if kind == "bare":
+        return ModelObject(object_type, id)
+    if kind == "raw_linked":
+        links = {"pPack": "ghost"} if object_type == "JavaPackage" else {"pack": "ghost"}
+        return ModelObject(object_type, id, {"vTag": "7", "note": ""}, links, {"classes": {"ghost", ""}})
+    held = registry.find(id)
+    if kind == "deep_copy" and held is not None and held.object_type == object_type:
+        return copy.deepcopy(held)
+    lender = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    lenders.append(lender)
+    lent = lender.get_or_create(object_type, id)
+    lender.set_attribute(lent, "note", "lent")
+    if object_type == "JavaPackage":
+        lender.set_link(lent, "pPack", lender.get_or_create("JavaPackage", "lender-root"))
+    return copy.deepcopy(lent) if kind == "deep_copy" else lent
+
+
+_FAILING_MUTATIONS = {
+    # set_attribute takes no target, so it fails on the given instance's type.
+    "set_attribute/type": lambda r, given: r.set_attribute(given("JavaPackage", "Editor"), "vTag", "9"),
+    "set_link/unknown": lambda r, given: r.set_link(given("JavaPackage", "fulib"), "pPack", "nowhere"),
+    "set_link/type": lambda r, given: r.set_link(given("JavaPackage", "fulib"), "pPack", "Editor"),
+    "set_link/new_unknown": lambda r, given: r.set_link(given("JavaPackage", "n"), "pPack", "nowhere"),
+    # The target would pass alone; the given object's type fails.
+    "set_link/object_type": lambda r, given: r.set_link(
+        given("JavaPackage", "Editor"), "pPack", ModelObject("JavaPackage", "n")
+    ),
+    # The held target passes; the given object's type fails after it.
+    "set_link/object_type_held_target": lambda r, given: r.set_link(
+        given("JavaPackage", "Editor"), "pPack", given("JavaPackage", "org")
+    ),
+    "add_to_many/unknown": lambda r, given: r.add_to_many(given("JavaPackage", "fulib"), "subPackages", "nowhere"),
+    "add_to_many/type": lambda r, given: r.add_to_many(
+        given("JavaPackage", "n"), "classes", ModelObject("JavaClass", "org")
+    ),
+    "remove_from_many/unknown": lambda r, given: r.remove_from_many(
+        given("JavaPackage", "org"), "subPackages", "nowhere"
+    ),
+    "remove_from_many/type": lambda r, given: r.remove_from_many(
+        given("JavaPackage", "org"), "subPackages", given("JavaPackage", "Editor")
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("mutation", list(_FAILING_MUTATIONS))
+def test_a_mutation_that_raises_changes_nothing(kind, mutation):
+    registry = _tree()
+    before = _state(registry)
+    lenders: list[ObjectRegistry] = []
+    with pytest.raises((UnknownObjectError, TypeConflictError)):
+        _FAILING_MUTATIONS[mutation](registry, lambda t, id: _given(kind, registry, t, id, lenders))
+    assert _state(registry) == before
+
+
+_POOL = {"p0": "JavaPackage", "p1": "JavaPackage", "p2": "JavaPackage", "c0": "JavaClass", "c1": "JavaClass"}
+_LINKS = {
+    "JavaPackage": [("pPack", "JavaPackage"), ("subPackages", "JavaPackage"), ("classes", "JavaClass")],
+    "JavaClass": [("pack", "JavaPackage")],
+}
+
+
+@st.composite
+def _adoption_steps(draw):
+    kinds = st.sampled_from(["held", "structural_copy", *_KINDS])
+    steps = []
+    for _ in range(draw(st.integers(0, 12))):
+        id = draw(st.sampled_from(sorted(_POOL)))
+        link, target_type = draw(st.sampled_from(_LINKS[_POOL[id]]))
+        target_ids = [t for t, type_ in sorted(_POOL.items()) if type_ == target_type] + ["ghost"]
+        targets = st.sampled_from(target_ids)
+        target = draw(st.one_of(st.none(), targets, st.tuples(kinds, targets)))
+        value = draw(st.sampled_from(["", "1", "2"]))
+        steps.append((draw(st.sampled_from(["attribute", "link"])), draw(kinds), id, link, target, value))
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adoption_steps())
+def test_mutations_keep_every_link_two_sided_whatever_instances_they_are_given(steps):
+    registry = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    lenders: list[ObjectRegistry] = []
+
+    def given(kind: str, id: str) -> ModelObject:
+        object_type = _POOL.get(id, "JavaPackage")
+        held = registry.find(id)
+        if kind == "held" and held is not None:
+            return held
+        if kind == "structural_copy" and held is not None:
+            to_many = {link: set(ids) for link, ids in held.to_many.items()}
+            return ModelObject(held.object_type, id, dict(held.attributes), dict(held.to_one), to_many)
+        return _given(kind if kind in _KINDS else "bare", registry, object_type, id, lenders)
+
+    for action, kind, id, link, target, value in steps:
+        obj = given(kind, id)
+        if isinstance(target, tuple):
+            target = given(*target)
+        registry.clear_changes()
+        before = _state(registry)
+        try:
+            if action == "attribute":
+                registry.set_attribute(obj, "vTag", value)
+            elif link in ("pPack", "pack"):
+                registry.set_link(obj, link, target)
+            elif target is not None and value:
+                registry.add_to_many(obj, link, target)
+            elif target is not None:
+                registry.remove_from_many(obj, link, target)
+        except (UnknownObjectError, TypeConflictError):
+            assert _state(registry) == before
+        assert registry.consistency_violations() == []
+        # A new id joins the maps only when the step writes it.
+        assert {*registry.model_objects, *registry.frames} <= {*before[0][0], *before[0][1], *registry.changed_ids}
+        for held in [*registry.model_objects.values(), *registry.frames.values()]:
+            assert all(held.attributes.values()) and all(held.to_one.values()) and all(held.to_many.values())
+    for lender in lenders:
+        assert lender.consistency_violations() == []
+        assert all(obj.attributes == {"note": "lent"} for obj in lender.model_objects.values() if obj.id in _POOL)

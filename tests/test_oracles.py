@@ -236,6 +236,22 @@ def test_one_model_built_from_two_stores_is_reported_with_both_sequences():
     ]
 
 
+def test_two_models_whose_fields_hold_dump_delimiters_are_told_apart():
+    # Unquoted, both models dump as "DocFile d {content=a,version=1} ...".
+    def store(vtag, content):
+        return [
+            Event("HaveRoot", id="r", time=T[0]),
+            Event("HaveLeaf", id="d", time=T[1], params={"parent": "r", "vTag": vtag}),
+            Event("HaveContent", id="d", time=T[2], params={"content": content}),
+        ]
+
+    a, b = store("", "a,version=1"), store("1", "a")
+    ra = replay(a, JAVA_DOC)
+    assert not model_equal(ra.registry, replay(b, JAVA_DOC).registry)
+    report = check_ces_model(ra, sequences=[a, b])
+    assert report.unique_stores, report.uniqueness_failures
+
+
 def test_store_signature_ignores_time_and_tombstones():
     a = replay([leaf(T[0], "1.0")], JAVA_PACKAGES)
     b = replay([leaf(T[1], "1.0")], JAVA_PACKAGES)

@@ -31,3 +31,28 @@ def test_demo_sync_repairs_without_cascading_deletes(capsys):
 def test_fault_injection_converges(seed, capsys):
     assert load("fault_injection").run_once(seed, editors=3, events=50, drop=0.2, duplicate=0.3)
     assert f"seed {seed:3d}: converged=True" in capsys.readouterr().out
+
+
+def test_every_mutant_fragment_matches_once(capsys):
+    assert load("mutants").main(["--check"]) == 0
+    assert capsys.readouterr().out.endswith("mutant fragments match\n")
+
+
+def test_a_fragment_that_no_longer_matches_makes_the_table_stale(monkeypatch, capsys):
+    mutants = load("mutants")
+    gone = mutants.Mutant("gone", "src/ces/objects.py", "no such fragment\n", "", ("tests",))
+    monkeypatch.setattr(mutants, "MUTANTS", (*mutants.MUTANTS, gone))
+    assert mutants.main(["--check"]) == 2
+    assert "stale: gone: fragment occurs 0 times in src/ces/objects.py, not once" in capsys.readouterr().out
+
+
+def test_a_mutant_whose_tests_run_too_long_cannot_be_run(monkeypatch, capsys):
+    mutants = load("mutants")
+
+    def too_long(command, **kwargs):
+        raise mutants.subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants, "MUTANTS", mutants.MUTANTS[:1])
+    monkeypatch.setattr(mutants.subprocess, "run", too_long)
+    assert mutants.main([]) == 2
+    assert f"cannot run the tests of {mutants.MUTANTS[0].name} (past 300 s)" in capsys.readouterr().out
