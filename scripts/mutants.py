@@ -72,7 +72,24 @@ MUTANTS = (
         "src/ces/objects.py",
         "            return state\n        self._unshare(obj)\n",
         "            return state\n",
-        ("tests/test_editor.py::test_adopting_an_instance_of_a_gone_registry_leaves_its_live_copy_unchanged",),
+        ("tests/test_objects.py::test_an_instance_only_a_live_copy_still_holds_is_adopted_back_as_itself",),
+    ),
+    Mutant(
+        "adoption takes another stamp as its own",
+        "src/ces/objects.py",
+        "        if obj._owner not in (None, self._stamp):\n            return state\n",
+        "",
+        (
+            "tests/test_objects.py::test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy",
+            "tests/test_objects.py::test_a_mutation_given_another_registrys_instance_writes_a_duplicate",
+        ),
+    ),
+    Mutant(
+        "place skips _unshare",
+        "src/ces/objects.py",
+        "        if old != parent:\n            self._unshare(obj)\n",
+        "        if old != parent:\n",
+        ("tests/test_javapackages.py::test_tree_writes_leave_a_live_clone_its_pre_image",),
     ),
     Mutant(
         "mutations hold a new id before they write",
@@ -111,6 +128,13 @@ MUTANTS = (
         "        registry.check_types((FOLDERS.container, javapackages._parent(event)), (FOLDERS.leaf, doc))\n",
         "",
         ("tests/test_javadoc.py::test_type_conflict_leaves_model_and_store_untouched",),
+    ),
+    Mutant(
+        "check_ces_model replays under last-edit-wins",
+        "src/ces/oracles.py",
+        "            run = replay(sequence, editor.domain, strategy=editor.strategy)\n",
+        "            run = replay(sequence, editor.domain)\n",
+        ("tests/test_oracles.py::test_sequences_are_replayed_under_the_editors_own_strategy",),
     ),
 )
 

@@ -14,6 +14,7 @@ copy of a registry shares its instances until one of them is written
 from __future__ import annotations
 
 import copy
+import itertools
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -34,22 +35,8 @@ class UnknownObjectError(CesError):
     pass
 
 
-class _Token(weakref.ref):
-    """A registry's ownership token: a weak reference to the registry that
-    also holds ``family``, the tokens of every registry of its copy family
-    (this one included; None until the first copy).  The family stays
-    reachable after the registry is gone.  A deep copy is the token itself;
-    a deep copy of a whole registry mints its own (see
-    :meth:`ObjectRegistry.__deepcopy__`)."""
-
-    __slots__ = ("family",)
-
-    def __init__(self, registry: "ObjectRegistry"):
-        super().__init__(registry)
-        self.family: list[_Token] | None = None
-
-    def __deepcopy__(self, memo) -> "_Token":
-        return self
+# Each registry draws its ownership stamp from this one counter.
+_stamps = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -67,10 +54,11 @@ class ModelObject:
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
 
-    # The token of the registry that may write this instance in place (see
-    # ObjectRegistry); equality, repr and the constructor ignore it.  A deep
-    # copy keeps it, so an edited deep copy is adopted as itself.
-    _owner: _Token | None = field(default=None, init=False, repr=False, compare=False)
+    # The stamp of the registry that may write this instance in place (see
+    # ObjectRegistry), None until a registry adopts it; equality, repr and
+    # the constructor ignore it.  A deep copy keeps it, so an edited deep
+    # copy is adopted as itself.
+    _owner: int | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,7 +118,7 @@ class AssociationSchema:
         return end
 
 
-def _duplicate(obj: ModelObject, owner: object = None) -> ModelObject:
+def _duplicate(obj: ModelObject, owner: int) -> ModelObject:
     """A new object with its own attribute and link dicts and link sets,
     owned by ``owner``."""
     copied = ModelObject(
@@ -152,10 +140,10 @@ class ObjectRegistry:
     parsing.  A mutation adopts each instance it is given (see
     :meth:`register_parsed`) and then edits it.
 
-    :meth:`copy` is copy-on-write.  Every instance carries the token of the
-    one registry that owns it, and only its owner writes it in place.
-    Before the owner writes an instance, each other live registry of the
-    copy family that still holds it gets its own duplicate of the
+    :meth:`copy` is copy-on-write.  Every held instance carries the stamp
+    of the one registry that owns it, and only its owner writes it in
+    place.  Before the owner writes an instance, each other live registry
+    of its copy family that still holds it gets its own duplicate of the
     pre-image.  Whatever hands an instance out (:meth:`find`, and through
     it :meth:`get_or_create`, :meth:`get_object_frame`,
     :meth:`changed_objects` and the mutations) first swaps a borrowed one
@@ -171,16 +159,19 @@ class ObjectRegistry:
         self.frames: dict[str, ModelObject] = {}
         # Changed ids in first-mutation order (a dict used as an ordered set).
         self._changed: dict[str, None] = {}
-        self._token = _Token(self)
+        self._stamp = next(_stamps)
+        # Weak references to every registry of the copy family, this one
+        # included, one list shared by them all; None until the first copy.
+        self._family: list[weakref.ref[ObjectRegistry]] | None = None
 
     # -- lookup and lifecycle -------------------------------------------------
 
     def find(self, id: str) -> ModelObject | None:
         """The instance held for ``id``, owned by this registry, or None."""
         obj = self.model_objects.get(id) or self.frames.get(id)
-        if obj is None or obj._owner is self._token:
+        if obj is None or obj._owner == self._stamp:
             return obj
-        return self._hold(_duplicate(obj, self._token))
+        return self._hold(_duplicate(obj, self._stamp))
 
     def _hold(self, obj: ModelObject) -> ModelObject:
         """Put ``obj`` in place of the instance held for its id, in the map
@@ -190,7 +181,7 @@ class ObjectRegistry:
 
     def _create(self, object_type: str, id: str) -> ModelObject:
         obj = ModelObject(object_type, id)
-        obj._owner = self._token
+        obj._owner = self._stamp
         return obj
 
     def _checked(self, obj: ModelObject, object_type: str) -> ModelObject:
@@ -244,7 +235,7 @@ class ObjectRegistry:
         lookup per id.  Both ids are type-checked, as :meth:`check_types`
         does, before the first write, so a placement that fails leaves the
         registry untouched."""
-        models, frames, token = self.model_objects, self.frames, self._token
+        models, frames, stamp = self.model_objects, self.frames, self._stamp
         end = self.schema.end_for(object_type, link)
         if end.many:
             raise SchemaError(f"link {link!r} is to-many; use add_to_many")
@@ -263,23 +254,18 @@ class ObjectRegistry:
                 known = object_type if parent == id else wanted
             if known != wanted:
                 raise TypeConflictError(f"id {parent!r} is a {known}, requested {wanted}")
-        # Only a live copy can hold an instance this registry owns.
-        shared = token.family is not None and any(
-            ref is not token and ref() is not None for ref in token.family
-        )
         changed = self._changed
         if obj is None:
             obj = models[id] = self._create(object_type, id)
         else:
-            if obj._owner is not token:
-                obj = self._hold(_duplicate(obj, token))
+            if obj._owner != stamp:
+                obj = self._hold(_duplicate(obj, stamp))
             if models.get(id) is not obj:  # promote a frame
                 del frames[id]
                 models[id] = obj
         old = obj.to_one.get(link)
         if old != parent:
-            if shared:
-                self._unshare(obj)
+            self._unshare(obj)
             if old is not None:
                 holder = self.find(old)
                 if holder is not None:
@@ -291,10 +277,9 @@ class ObjectRegistry:
                     target = obj
                 elif target is None:
                     target = frames[parent] = self._create(wanted, parent)
-                elif target._owner is not token:
-                    target = self._hold(_duplicate(target, token))
-                if shared:
-                    self._unshare(target)
+                elif target._owner != stamp:
+                    target = self._hold(_duplicate(target, stamp))
+                self._unshare(target)
                 obj.to_one[link] = parent
                 target.to_many.setdefault(end.other_name, set()).add(id)
                 changed[parent] = None
@@ -302,8 +287,7 @@ class ObjectRegistry:
         if attribute and (
             obj.attributes.get(attribute) != value if value else attribute in obj.attributes
         ):
-            if shared:
-                self._unshare(obj)
+            self._unshare(obj)
             if value:
                 obj.attributes[attribute] = value
             else:
@@ -325,10 +309,11 @@ class ObjectRegistry:
         instance replaces the one held for its id and takes over the held
         state, bare for a new id, so its edits reach the model only through
         the commands parsed from it and every link stays two-sided; another
-        type raises TypeConflictError.  An instance that another live
-        registry owns is adopted as a copy.  Any other live registry that
-        holds the instance keeps its pre-image: a copy of this registry, or
-        of the instance's owner, even when that owner is gone."""
+        type raises TypeConflictError.  An instance that carries another
+        registry's stamp, whether that registry is live or gone, is adopted
+        as a copy.  An unstamped instance, or one this registry stamped, is
+        adopted as itself, and a live copy of this registry that still
+        holds it keeps its pre-image."""
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is not obj:
             self._hold(self._adopted(obj, held))
@@ -336,58 +321,57 @@ class ObjectRegistry:
     def _adopted(self, obj: ModelObject, held: ModelObject | None) -> ModelObject:
         """The instance that holds ``obj.id`` once ``obj`` is adopted in
         place of ``held`` (None for a new id), not yet put in a map."""
-        state = _duplicate(held, self._token) if held else self._create(obj.object_type, obj.id)
+        state = _duplicate(held, self._stamp) if held else self._create(obj.object_type, obj.id)
         self._checked(state, obj.object_type)
-        owner = obj._owner and obj._owner()
-        if owner is not None and owner is not self:
+        if obj._owner not in (None, self._stamp):
             return state
         self._unshare(obj)
         obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
-        obj._owner = self._token
+        obj._owner = self._stamp
         return obj
 
     def copy(self) -> "ObjectRegistry":
         """A copy-on-write twin: new maps and a new change set that share
         the schema and every instance with this registry, until either side
-        writes one.  The twin joins this registry's copy family (see the
-        class docstring)."""
+        writes one.  The twin draws a stamp of its own and joins this
+        registry's copy family (see the class docstring), from which the
+        registries that are gone are pruned first."""
         copied = ObjectRegistry(self.schema)
         copied.model_objects = dict(self.model_objects)
         copied.frames = dict(self.frames)
         copied._changed = dict(self._changed)
-        family = self._token.family or [self._token]
+        family = self._family or [weakref.ref(self)]
         family[:] = [ref for ref in family if ref() is not None]
-        family.append(copied._token)
-        self._token.family = copied._token.family = family
+        family.append(weakref.ref(copied))
+        self._family = copied._family = family
         return copied
 
     def __deepcopy__(self, memo) -> "ObjectRegistry":
-        """A deep copy outside this registry's copy family: it has a token
+        """A deep copy outside this registry's copy family: it draws a stamp
         of its own and owns a duplicate of each instance, so neither
         registry counts the other's instances as its own.  (A deep copy of
-        a single :class:`ModelObject` keeps its owner.)"""
+        a single :class:`ModelObject` keeps its stamp.)"""
         copied = memo[id(self)] = ObjectRegistry(copy.deepcopy(self.schema, memo))
         pairs = ((self.model_objects, copied.model_objects), (self.frames, copied.frames))
         for source, target in pairs:
             for key, obj in source.items():
-                target[key] = _duplicate(obj, copied._token)
+                target[key] = _duplicate(obj, copied._stamp)
         copied._changed = dict(self._changed)
         return copied
 
     def _unshare(self, obj: ModelObject) -> None:
-        """Before ``obj`` is written in place, give every other live
-        registry of its owner's copy family that holds it a duplicate of
-        the pre-image.  The owner's token reaches the family even when the
-        owner is gone."""
-        token = obj._owner
-        if token is None or token.family is None:
+        """Before ``obj``, an instance this registry stamped, is written in
+        place, give every other live registry of this copy family that
+        holds it a duplicate of the pre-image.  No registry outside the
+        family holds it: any other registry adopts it as a copy."""
+        if self._family is None:
             return
-        for ref in token.family:
+        for ref in self._family:
             other = ref()
             if other is None or other is self:
                 continue
             if (other.model_objects.get(obj.id) or other.frames.get(obj.id)) is obj:
-                other._hold(_duplicate(obj, other._token))
+                other._hold(_duplicate(obj, other._stamp))
 
     # -- change tracking ------------------------------------------------------
 
@@ -444,10 +428,10 @@ class ObjectRegistry:
             if (found := self.model_objects.get(target) or self.frames.get(target)) is None:
                 raise UnknownObjectError(f"unknown object id {target!r}")
             target = found
-        models, frames, token = self.model_objects, self.frames, self._token
-        if obj._owner is token and (models.get(obj.id) or frames.get(obj.id)) is obj and (
+        models, frames, stamp = self.model_objects, self.frames, self._stamp
+        if obj._owner == stamp and (models.get(obj.id) or frames.get(obj.id)) is obj and (
             target is None
-            or target._owner is token and target.object_type == end.other_type
+            or target._owner == stamp and target.object_type == end.other_type
             and (models.get(target.id) or frames.get(target.id)) is target
         ):  # held instances, the common case, skip the checks they pass
             return end, obj, target

@@ -206,15 +206,15 @@ class CesModelReport:
         return self.parse_stable and self.unique_stores
 
 
-def check_ces_model(editor: Editor, *, sequences=None, strategy=OverwriteStrategy.LAST_EDIT_WINS) -> CesModelReport:
+def check_ces_model(editor: Editor, *, sequences=None) -> CesModelReport:
     """Check that the editor's model and store form a valid command-sourced
     pair.
 
     (a) Parsing the full model on a clone must change no active command:
     every increment in the model regenerates its stored event (modulo time)
     and nothing else.  (b) Optionally, for the given event sequences, any
-    two that replay to model-equal registries must agree on the store
-    (modulo timestamps and tombstones).
+    two that replay, under the editor's strategy, to model-equal registries
+    must agree on the store (modulo timestamps and tombstones).
     """
     clone = editor.clone()
     before = dict(clone.active_commands)
@@ -228,7 +228,7 @@ def check_ces_model(editor: Editor, *, sequences=None, strategy=OverwriteStrateg
     if sequences is not None:
         buckets: dict[str, tuple[frozenset, int]] = {}
         for index, sequence in enumerate(sequences):
-            run = replay(sequence, editor.domain, strategy=strategy)
+            run = replay(sequence, editor.domain, strategy=editor.strategy)
             fingerprint = dump_model(run.registry)
             signature = store_signature(run)
             known = buckets.get(fingerprint)

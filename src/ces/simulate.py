@@ -291,10 +291,11 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
     return before it is stripped with the other whitespace around the line,
     and a quoted value may hold U+2028, U+0085 or a lone carriage return.
     A malformed line is a :class:`ScriptError` naming that line, raised
-    before any command runs."""
+    before any command runs; a submit or flush that fails as it runs is
+    one naming its line too."""
     options: dict = {"seed": seed}
     editors: dict[str, Domain] = {}
-    actions: list[tuple[str, Event] | None] = []  # a submit, or None for a flush
+    actions: list[tuple[int, tuple[str, Event] | None]] = []  # line, a submit or None for a flush
     for lineno, raw in enumerate(text.split("\n"), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -332,9 +333,9 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
                     raise ScriptError(f"line {lineno}: unknown editor {name!r}")
                 params = _parse_kv(args[3:], lineno)
                 time = params.pop("time", "")
-                actions.append((name, Event(type_tag, id=event_id, time=time, params=params)))
+                actions.append((lineno, (name, Event(type_tag, id=event_id, time=time, params=params))))
             elif word == "flush":
-                actions.append(None)
+                actions.append((lineno, None))
             else:
                 raise ScriptError(f"line {lineno}: unknown directive {word!r}")
         except ValueError as exc:  # from shlex, float, Channel, OverwriteStrategy or Event
@@ -343,10 +344,13 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
     session = Session(**options)
     for name, domain in editors.items():
         session.add_editor(name, domain)
-    for action in actions:
-        if action is None:
-            session.flush()
-        else:
-            session.submit(*action)
+    for lineno, action in actions:
+        try:
+            if action is None:
+                session.flush()
+            else:
+                session.submit(*action)
+        except CesError as exc:
+            raise ScriptError(f"line {lineno}: {exc}") from None
     session.settle()
     return session.report()

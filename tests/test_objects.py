@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,10 +383,17 @@ def test_a_deep_copy_of_a_model_object_keeps_its_owner():
     held = registry.find("Editor")
     copied = copy.deepcopy(held)
     assert copied == held and copied is not held and copied.attributes is not held.attributes
-    assert copied._owner is held._owner
+    assert copied._owner == held._owner
     copied.attributes["vTag"] = "2.0"
     registry.register_parsed(copied)
     assert registry.find("Editor") is copied  # adopted as itself, not as a copy
+
+
+def test_a_held_model_object_pickles_with_its_stamp():
+    registry = _tree()
+    held = registry.find("Editor")
+    restored = pickle.loads(pickle.dumps(held))
+    assert restored == held and restored._owner == held._owner
 
 
 def test_registry_equals_itself():
@@ -718,7 +727,7 @@ def test_bidirectional_consistency_holds_after_any_operation_sequence(ops):
                     registry.register_parsed(ModelObject("JavaClass", x))
                 assert registry.find(x) is held
                 continue
-            edited = registry.copy().find(x)
+            edited = copy.deepcopy(registry.find(x))
             if op == "adopt_bare":
                 edited = ModelObject("JavaPackage", x)
             elif op == "adopt_linked" and x != y:
@@ -865,6 +874,34 @@ def test_a_mutation_given_another_registrys_instance_writes_a_duplicate():
     assert adopted is not lent and other.frames["x"] is adopted
     assert adopted.attributes == {"vTag": "9.0"} and adopted.to_one == {"pack": "p"}
     assert other.consistency_violations() == owner.consistency_violations() == []
+
+
+def test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy():
+    registry = _registry_with_class()
+    twin = registry.copy()
+    edited = twin.find("x")
+    gone = weakref.ref(twin)
+    del twin
+    assert gone() is None
+    edited.attributes["vTag"] = "2.0"
+    before = dump_model(registry)
+    registry.register_parsed(edited)
+    assert registry.find("x") is not edited
+    assert edited.attributes == {"vTag": "2.0"}
+    assert dump_model(registry) == before
+
+
+def test_an_instance_only_a_live_copy_still_holds_is_adopted_back_as_itself():
+    registry = _registry_with_class()
+    twin = registry.copy()
+    shared = registry.find("x")
+    registry.register_parsed(copy.deepcopy(shared))  # now the twin alone holds shared
+    registry.set_attribute(registry.find("x"), "vTag", "2.0")
+    before = dump_model(twin)
+    registry.register_parsed(shared)
+    assert registry.find("x") is shared and shared.attributes == {"vTag": "2.0"}
+    assert dump_model(twin) == before
+    assert twin.find("x").attributes == {"vTag": "1.0"}
 
 
 def test_a_deep_copy_of_a_registry_owns_its_instances():

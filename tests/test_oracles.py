@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, model_equal
+from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, OverwriteStrategy, model_equal
 from ces.editor import CommandError, CommandHandler, Domain
 from ces.objects import Association, AssociationSchema
 from ces.oracles import (
@@ -128,10 +128,21 @@ class Tag(CommandHandler):
         editor.registry.get_or_create("Node", event.id)
 
 
+class VersionTag(CommandHandler):
+    """Test fixture violating store uniqueness as Tag does, for a command
+    that also writes its ``vTag`` param to an attribute."""
+
+    type_tag = "V"
+
+    def run(self, editor, event):
+        node = editor.registry.get_or_create("Node", event.id)
+        editor.registry.set_attribute(node, "vTag", event.params.get("vTag", ""))
+
+
 BROKEN = Domain(
     name="broken",
     schema=AssociationSchema([Association("Node", "uses", True, "Node", "usedBy", True)]),
-    handlers=(Append(), SetShared(), Tag()),
+    handlers=(Append(), SetShared(), Tag(), VersionTag()),
 )
 
 
@@ -231,6 +242,22 @@ def test_one_model_built_from_two_stores_is_reported_with_both_sequences():
     report = check_ces_model(replay(bare, BROKEN), sequences=[bare, noted, bare])
     assert report.parse_stable
     assert not report.unique_stores and not report.passed
+    assert report.uniqueness_failures == [
+        "sequences 0 and 1 build the same model but different active stores"
+    ]
+
+
+def test_sequences_are_replayed_under_the_editors_own_strategy():
+    # Under highest-version-wins both build x with vTag=2 from different
+    # stores; under last-edit-wins ``noted`` builds vTag=1 and the clash hides.
+    noted = [
+        Event("V", id="x", time=T[0], params={"vTag": "2", "note": "n"}),
+        Event("V", id="x", time=T[1], params={"vTag": "1"}),
+    ]
+    bare = [Event("V", id="x", time=T[0], params={"vTag": "2"})]
+    editor = replay(bare, BROKEN, strategy=OverwriteStrategy.HIGHEST_VERSION_WINS)
+    report = check_ces_model(editor, sequences=[noted, bare])
+    assert not report.unique_stores
     assert report.uniqueness_failures == [
         "sequences 0 and 1 build the same model but different active stores"
     ]

@@ -403,9 +403,28 @@ def test_report_text_keeps_each_model_row_whole():
         "channel duplicate=nan\n",
         ALICE_BOB_SCRIPT + "channel drop=0.1\n",
         ALICE_BOB_SCRIPT + "editor carol javapackages\n",
+        # Lines that read well but whose command fails as it runs.
+        ALICE_BOB_SCRIPT + "submit bob HaveRoot x time=zzz\n",
+        ALICE_BOB_SCRIPT + "submit alice Bogus x\n",
+        ALICE_BOB_SCRIPT + "submit alice HaveSubUnit x\n",
     ],
 )
 def test_script_errors(bad):
-    with pytest.raises(ScriptError):
+    with pytest.raises(ScriptError, match=r"^line [1-9][0-9]*: "):
         run_script(bad, DOMAINS, seed=0)
+
+
+@pytest.mark.parametrize(
+    "failing, line",
+    [
+        ("submit alice Bogus x\n", 4),
+        # bob's javadoc model holds x.Doc as a Folder, so the flush that
+        # brings alice's HaveSubUnit x (whose DocFile is x.Doc) fails there.
+        ("submit bob HaveRoot x.Doc\nsubmit alice HaveSubUnit x parent=r\nflush\n", 6),
+    ],
+)
+def test_a_command_that_fails_as_it_runs_names_its_own_line(failing, line):
+    script = "editor alice javapackages\neditor bob javadoc\nsubmit alice HaveRoot r\n" + failing + "flush\n"
+    with pytest.raises(ScriptError, match=f"^line {line}: "):
+        run_script(script, DOMAINS, seed=0)
 
