@@ -136,6 +136,13 @@ MUTANTS = (
         "            run = replay(sequence, editor.domain)\n",
         ("tests/test_oracles.py::test_sequences_are_replayed_under_the_editors_own_strategy",),
     ),
+    Mutant(
+        "sync keeps the source through the target replay",
+        "src/ces/cli.py",
+        "    del source\n",
+        "",
+        ("tests/test_cli.py::test_sync_drops_the_source_model_before_the_target_replay",),
+    ),
 )
 
 

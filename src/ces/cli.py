@@ -27,6 +27,13 @@ def _read(path: str) -> str:
     return Path(path).read_bytes().decode("utf-8")  # untranslated: decode reads line ends
 
 
+def _write(path: str, text: str) -> str:
+    """Write the text untranslated, so the file holds exactly the bytes
+    whose :func:`text_digest` is returned."""
+    Path(path).write_bytes(text.encode("utf-8"))
+    return text_digest(text)
+
+
 def _parse_filter(raw: str | None) -> frozenset[str] | None:
     if raw is None:
         return None
@@ -48,13 +55,16 @@ def cmd_replay(args) -> int:
 
 
 def cmd_sync(args) -> int:
+    # One replica at a time: the source only settles which commands are
+    # active, and the store text is written and digested before the dump.
     source = replay(decode(_read(args.infile)), DOMAINS[args.from_domain], strategy=args.strategy)
     exported = source.active_events(_parse_filter(args.filter))
+    del source
     target = replay(exported, DOMAINS[args.to_domain], strategy=args.strategy)
-    store = target.export_active(frozenset())
-    Path(args.outfile).write_text(store, encoding="utf-8")
+    del exported
+    digest = _write(args.outfile, target.export_active(frozenset()))
     print(dump_model(target.registry), end="")
-    print(f"active-digest: {text_digest(store)}")
+    print(f"active-digest: {digest}")
     return 0
 
 

@@ -161,22 +161,28 @@ def check_commutative(
     if any(not e.id for e in events):
         raise MissingIdError("check_commutative needs events with explicit ids")
     base = replay(events, domain, strategy=strategy)
-    rng = random.Random(seed)
-    variants: list[tuple[str, list[Event]]] = [("reverse", list(reversed(events)))]
-    for trial in range(trials):
-        shuffled = list(events)
-        rng.shuffle(shuffled)
-        variants.append((f"permutation {trial}", shuffled))
     report = CommuteReport(passed=True)
-    for label, ordered in variants:
+    for label, ordered in _variants(events, trials, seed):
         other = replay(ordered, domain, strategy=strategy)
         diffs = list(model_diff(base.registry, other.registry).differences)
         if other.active_commands != base.active_commands:
             diffs.append("active command stores differ")
+        del other  # the base and one variant at a time
         report.entries.append((label, diffs))
         if diffs:
             report.passed = False
     return report
+
+
+def _variants(events: list[Event], trials: int, seed: int):
+    """The reverse order, then ``trials`` seeded permutations, each drawn
+    only when it is asked for."""
+    yield "reverse", list(reversed(events))
+    rng = random.Random(seed)
+    for trial in range(trials):
+        shuffled = list(events)
+        rng.shuffle(shuffled)
+        yield f"permutation {trial}", shuffled
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +230,7 @@ def check_ces_model(editor: Editor, *, sequences=None) -> CesModelReport:
         {key[1] for key in before.keys() ^ after.keys()}
         | {key[1] for key in before.keys() & after.keys() if before[key] != after[key]}
     )
+    del clone, before, after  # one model besides the editor's at a time
     report = CesModelReport(parse_stable=not divergent, divergent_ids=divergent)
     if sequences is not None:
         buckets: dict[str, tuple[frozenset, int]] = {}
@@ -231,6 +238,7 @@ def check_ces_model(editor: Editor, *, sequences=None) -> CesModelReport:
             run = replay(sequence, editor.domain, strategy=editor.strategy)
             fingerprint = dump_model(run.registry)
             signature = store_signature(run)
+            del run
             known = buckets.get(fingerprint)
             if known is None:
                 buckets[fingerprint] = (signature, index)

@@ -292,7 +292,8 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
     and a quoted value may hold U+2028, U+0085 or a lone carriage return.
     A malformed line is a :class:`ScriptError` naming that line, raised
     before any command runs; a submit or flush that fails as it runs is
-    one naming its line too."""
+    one naming its line too, and a failure in the final delivery after the
+    last line is one that starts ``end of script:``."""
     options: dict = {"seed": seed}
     editors: dict[str, Domain] = {}
     actions: list[tuple[int, tuple[str, Event] | None]] = []  # line, a submit or None for a flush
@@ -352,5 +353,8 @@ def run_script(text: str, domains: dict[str, Domain], *, seed: int = 0) -> Conve
                 session.submit(*action)
         except CesError as exc:
             raise ScriptError(f"line {lineno}: {exc}") from None
-    session.settle()
+    try:
+        session.settle()
+    except CesError as exc:
+        raise ScriptError(f"end of script: {exc}") from None
     return session.report()

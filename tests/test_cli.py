@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from ces import Event, decode, encode
+from ces import Event, cli, decode, encode
 from ces.cli import DOMAINS, main
 from ces.editor import text_digest
 from ces.events import OverwriteStrategy
@@ -178,8 +179,27 @@ def test_sync_output_is_byte_identical_to_a_hop_through_the_text(
     exported = source.export_active(None if sync_filter is None else frozenset(sync_filter.split(",")))
     target = replay(decode(exported), DOMAINS[target_domain], strategy=strategy)
     store = target.export_active(frozenset())
-    assert out_file.read_text(encoding="utf-8") == store
+    # The file holds the digested bytes: no line end is translated on write.
+    assert out_file.read_bytes() == store.encode("utf-8")
     assert out == dump_model(target.registry) + f"active-digest: {text_digest(store)}\n"
+
+
+def test_sync_drops_the_source_model_before_the_target_replay(capsys, monkeypatch, start_file, tmp_path):
+    # The source only settles which commands are active, so a cold
+    # catch-up holds one replica at a time.
+    built, alive = [], []
+
+    def recording(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        editor = replay(*args, **kwargs)
+        built.append(weakref.ref(editor))
+        return editor
+
+    monkeypatch.setattr(cli, "replay", recording)
+    code, out, _ = run_cli(capsys, "sync", "--from-domain", "javapackages", "--to-domain", "javadoc",
+                           "--in", start_file, "--out", str(tmp_path / "synced.ces"))
+    assert code == 0 and out.startswith(DOC_GOLDEN)
+    assert alive == [0, 0]
 
 
 # -- diff ---------------------------------------------------------------------------
@@ -260,6 +280,20 @@ def test_simulate_reports_convergence(capsys, tmp_path):
     assert code == 0
     assert "converged: yes" in out
     assert "vTag=1.1" in out
+
+
+def test_simulate_names_a_failure_in_the_final_delivery(capsys, tmp_path):
+    # No flush: bob's refusal of alice's HaveSubUnit x comes in the drain
+    # after the last line.
+    script = tmp_path / "session.txt"
+    script.write_text(
+        "editor alice javapackages\neditor bob javadoc\nsubmit bob HaveRoot x.Doc\n"
+        "submit alice HaveRoot r\nsubmit alice HaveSubUnit x parent=r\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "simulate", "--script", str(script))
+    assert (code, out) == (2, "")
+    assert err == "error: end of script: HaveSubUnit 'x': id 'x.Doc' is a Folder, requested DocFile\n"
 
 
 def test_replay_under_highest_version_wins_takes_a_vtag_of_any_length(capsys, tmp_path):

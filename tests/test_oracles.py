@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, OverwriteStrategy, model_equal
+from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, OverwriteStrategy, model_equal, oracles
 from ces.editor import CommandError, CommandHandler, Domain
 from ces.objects import Association, AssociationSchema
 from ces.oracles import (
@@ -195,6 +197,43 @@ def test_large_generated_sequence_is_commutative():
     report = check_commutative(events, JAVA_PACKAGES, trials=20, seed=7)
     assert report.passed
     assert len(report.entries) == 21  # reverse + 20 permutations
+
+
+@pytest.fixture
+def alive_models(monkeypatch):
+    """For each replay an oracle starts, the indices of the models it built
+    before (replays and clones, in order) that are still alive."""
+    built, alive = [], []
+
+    def recording_replay(*args, **kwargs):
+        alive.append([index for index, ref in enumerate(built) if ref() is not None])
+        editor = replay(*args, **kwargs)
+        built.append(weakref.ref(editor))
+        return editor
+
+    clone = Editor.clone
+
+    def recording_clone(self):
+        twin = clone(self)
+        built.append(weakref.ref(twin))
+        return twin
+
+    monkeypatch.setattr(oracles, "replay", recording_replay)
+    monkeypatch.setattr(Editor, "clone", recording_clone)
+    return alive
+
+
+def test_check_commutative_holds_the_base_and_one_variant(alive_models):
+    report = check_commutative(random_command_sequence(30, seed=3), JAVA_PACKAGES, trials=4, seed=3)
+    assert report.passed
+    assert alive_models == [[]] + [[0]] * 5  # reverse + 4 permutations, the base alone alive
+
+
+def test_check_ces_model_holds_one_model_at_a_time(alive_models):
+    editor = replay(start_events(), JAVA_PACKAGES)
+    sequences = [random_command_sequence(20, seed) for seed in range(4)]
+    assert check_ces_model(editor, sequences=sequences).passed
+    assert alive_models == [[]] * 4  # neither the parse clone nor an earlier replay
 
 
 def test_check_commutative_requires_ids():

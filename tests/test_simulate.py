@@ -428,3 +428,12 @@ def test_a_command_that_fails_as_it_runs_names_its_own_line(failing, line):
     with pytest.raises(ScriptError, match=f"^line {line}: "):
         run_script(script, DOMAINS, seed=0)
 
+
+def test_a_failure_in_the_final_delivery_names_the_end_of_the_script():
+    script = (
+        "editor alice javapackages\neditor bob javadoc\nsubmit bob HaveRoot x.Doc\n"
+        "submit alice HaveRoot r\nsubmit alice HaveSubUnit x parent=r\n"
+    )
+    with pytest.raises(ScriptError) as raised:
+        run_script(script, DOMAINS, seed=0)
+    assert str(raised.value) == "end of script: HaveSubUnit 'x': id 'x.Doc' is a Folder, requested DocFile"
