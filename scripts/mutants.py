@@ -143,6 +143,16 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_sync_drops_the_source_model_before_the_target_replay",),
     ),
+    Mutant(
+        "submit puts the unstamped event on the wire",
+        "src/ces/simulate.py",
+        "                    self.channels[(name, other)].submit(applied)\n",
+        "                    self.channels[(name, other)].submit(event)\n",
+        (
+            "tests/test_simulate.py::"
+            "test_a_shared_submit_reaches_each_receiver_as_the_stored_event_with_no_codec_call",
+        ),
+    ),
 )
 
 

@@ -4,17 +4,20 @@ import/export.
 
 The store keeps at most one event per command id (per scope, see below);
 overwriting makes that sufficient to reconstruct the model.  Editors
-interact with each other only through the encoded event text.
+interact with each other only through events: the encoded event text
+between processes, and the same immutable events inside one
+:class:`~ces.simulate.Session`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 
 from .events import (
-    _UNSUPPORTED,
+    _CONTROLS,
     TIMESTAMP_RE,
     CesError,
     Clock,
@@ -30,6 +33,9 @@ from .objects import AssociationSchema, ModelObject, ObjectRegistry
 
 
 _BY_ID_AND_TYPE = attrgetter("id", "type_tag")
+# Refused in an id or a param value: the C0 controls encode cannot write, and
+# lone surrogates (from errors="surrogateescape"), which UTF-8 cannot hold.
+_REFUSED = re.compile(f"[{_CONTROLS}\ud800-\udfff]")
 
 
 def text_digest(text: str) -> str:
@@ -154,8 +160,9 @@ class Editor:
         passed them when it was made or decoded.  A supplied time not of
         the form YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError`
         before anything changes, and so does an event that is not ignored
-        but holds a C0 control other than tab, newline and carriage return
-        in its id or a param value, which :func:`encode` could not write.
+        but holds, in its id or a param value, a C0 control other than tab,
+        newline and carriage return, which :func:`encode` could not write,
+        or a lone surrogate (U+D800-U+DFFF), which no UTF-8 text can hold.
         Returns the stored event when applied, None when the event was
         ignored.
         """
@@ -178,11 +185,11 @@ class Editor:
         old = self.active_commands.get(key)
         if old is not None and not overwrites(event, old, self.strategy):
             return None
-        refused = _UNSUPPORTED.search
-        if refused(event_id) or any(map(refused, event.params.values())):
-            raise CommandError(
-                f"unsupported control character in the id or a param value of {event_id!r}"
-            )
+        refused = _REFUSED.search
+        bad = refused(event_id) or next(filter(None, map(refused, event.params.values())), None)
+        if bad is not None:
+            what = "lone surrogate" if bad.group() >= "\ud800" else "unsupported control character"
+            raise CommandError(f"{what} in the id or a param value of {event_id!r}")
         handler.run(self, event)
         self.active_commands[key] = event
         return event

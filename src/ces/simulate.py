@@ -17,7 +17,6 @@ from .events import (
     CesError,
     Event,
     OverwriteStrategy,
-    decode,
     encode,
     shift_timestamp,
     stepping_clock,
@@ -27,11 +26,6 @@ from .objects import dump_model, model_diff
 
 class ScriptError(CesError):
     pass
-
-
-# What a session puts on a channel: the events of one submit, encoded and
-# decoded once.  Events are immutable, so every receiver shares them.
-Message = tuple[Event, ...]
 
 
 class Channel:
@@ -60,15 +54,15 @@ class Channel:
         self.reorder = reorder
         self.eventual = eventual
         self.rng = random.Random(seed)
-        self.in_flight: list[Message] = []
+        self.in_flight: list[Event] = []
 
-    def submit(self, message: Message) -> None:
+    def submit(self, message: Event) -> None:
         self.in_flight.append(message)
 
-    def flush(self) -> list[Message]:
+    def flush(self) -> list[Event]:
         """Deliver what the fault model lets through; defer or discard drops."""
-        delivered: list[Message] = []
-        held: list[Message] = []
+        delivered: list[Event] = []
+        held: list[Event] = []
         for message in self.in_flight:
             if self.rng.random() < self.drop:
                 if self.eventual:
@@ -82,7 +76,7 @@ class Channel:
         self.in_flight = held
         return delivered
 
-    def drain(self) -> list[Message]:
+    def drain(self) -> list[Event]:
         """Deliver everything still in flight, fault-free and in order."""
         delivered, self.in_flight = self.in_flight, []
         return delivered
@@ -115,9 +109,10 @@ class Session:
     """A set of editors joined by a full mesh of unreliable channels.
 
     Editors get deterministic, mutually offset clocks so that a scripted run
-    is reproducible and no two editors ever mint the same timestamp.  Each
-    shared submit is encoded and decoded once, and every receiver loads
-    those same events.
+    is reproducible and no two editors ever mint the same timestamp.  A
+    channel carries the event its sender stored, with no codec in between:
+    events are immutable, and the codec is an identity on every event
+    :meth:`Editor.execute` accepts, so every receiver loads that same event.
     """
 
     def __init__(
@@ -153,35 +148,33 @@ class Session:
         return editor
 
     def submit(self, name: str, event: Event) -> Event | None:
-        """Execute locally; if applied and shared, put the completed event,
-        encoded and decoded once, on the wire to every other editor."""
+        """Execute locally; if applied and shared, put the stored event
+        itself on the wire to every other editor."""
         editor = self.editors[name]
         applied = editor.execute(event)
         if applied is None:
             self.trace.append(f"submit {name}: ignored {event.type_tag} {event.id}")
             return None
         if editor._shared(applied.type_tag):
-            message = tuple(decode(encode([applied])))
             for other in self.editors:
                 if other != name:
-                    self.channels[(name, other)].submit(message)
+                    self.channels[(name, other)].submit(applied)
             self.trace.append(f"submit {name}: {applied.type_tag} {applied.id}")
         else:
             self.trace.append(f"submit {name}: local {applied.type_tag} {applied.id}")
         return applied
 
     def _deliver(self, take) -> None:
-        """One delivery round; ``take(channel)`` empties a channel.  A
-        channel's messages reach their editor as one list of events and one
-        load: a failing event raises only after every other message taken
-        has run."""
+        """One delivery round; ``take(channel)`` empties a channel.  The
+        events a channel delivers reach their editor as one load: a failing
+        event raises only after every other event taken has run."""
         self._flushes += 1
         for (source, target), channel in sorted(self.channels.items()):
-            messages = take(channel)
-            applied = self.editors[target].load([event for message in messages for event in message])
+            events = take(channel)
+            applied = self.editors[target].load(events)
             self.trace.append(
                 f"flush {self._flushes} {source}->{target}: "
-                f"delivered {len(messages)} applied {applied} held {len(channel.in_flight)}"
+                f"delivered {len(events)} applied {applied} held {len(channel.in_flight)}"
             )
 
     def flush(self) -> None:

@@ -282,6 +282,13 @@ def test_simulate_reports_convergence(capsys, tmp_path):
     assert "vTag=1.1" in out
 
 
+def test_simulate_of_the_alice_bob_script_prints_its_golden_report(capsys):
+    root = Path(__file__).resolve().parent.parent
+    code, out, _ = run_cli(capsys, "simulate", "--script", str(root / "scripts" / "alice_bob.session"), "--seed", "0")
+    assert code == 0
+    assert out == (root / "tests" / "golden" / "alice_bob.seed0.out").read_bytes().decode("utf-8")
+
+
 def test_simulate_names_a_failure_in_the_final_delivery(capsys, tmp_path):
     # No flush: bob's refusal of alice's HaveSubUnit x comes in the drain
     # after the last line.

@@ -242,6 +242,48 @@ def test_a_control_character_encode_refuses_is_refused_before_the_handler_runs(p
     packages_editor.export_active()
 
 
+def test_a_lone_surrogate_no_utf_8_text_can_hold_is_refused_before_the_handler_runs(packages_editor):
+    # Text read with errors="surrogateescape" holds lone surrogates; a stored
+    # one would make every later digest, report and UTF-8 write raise.
+    late = "2030-01-01T00:00:00.000Z"
+    store = dict(packages_editor.active_commands)
+    dump = dump_model(packages_editor.registry)
+    stored = packages_editor.get_active("Editor")
+    for event in (
+        Event("HaveLeaf", id="C\udcff", time=late, params={"parent": "serv", "vTag": "1.0"}),
+        Event("HaveLeaf", id="C", time=late, params={"parent": "serv", "vTag": "\ud800"}),
+        replace(stored, time=late, params={**stored.params, "vTag": "2\udfff"}),
+    ):
+        with pytest.raises(CommandError, match="lone surrogate in the id or a param value of"):
+            packages_editor.execute(event)
+    assert packages_editor.active_commands == store
+    assert dump_model(packages_editor.registry) == dump
+    # An event the stored one outranks is ignored before the check.
+    stale = replace(stored, time="2000-01-01T00:00:00.000Z", params={**stored.params, "vTag": "\udc80"})
+    assert packages_editor.execute(stale) is None
+    # The neighbours of the surrogate block and an astral character pass.
+    edge = "\ud7ff\ue000\U0001f600"
+    assert packages_editor.execute(replace(stored, time=late, params={**stored.params, "vTag": edge}))
+    packages_editor.export_active().encode("utf-8")
+
+
+def test_a_peer_block_holding_a_lone_surrogate_fails_alone_in_load_events():
+    raw = (
+        b"- command: HaveRoot\n  id: p\n  time: 2020-01-01T00:00:00.000Z\n"
+        b"- command: HaveRoot\n  id: r\xff\n  time: 2020-01-01T00:00:01.000Z\n"
+        b"- command: HaveRoot\n  id: s\n  time: 2020-01-01T00:00:02.000Z\n"
+    )
+    editor = Editor(JAVA_PACKAGES)
+    with pytest.raises(LoadError) as err:
+        editor.load_events(raw.decode("utf-8", errors="surrogateescape"))
+    assert err.value.applied == 2
+    assert err.value.failures == [
+        "HaveRoot 'r\\udcff': lone surrogate in the id or a param value of 'r\\udcff'"
+    ]
+    assert [event.id for event in editor.active_events()] == ["p", "s"]
+    editor.export_active().encode("utf-8")
+
+
 def test_load_propagates_decode_errors():
     with pytest.raises(DecodeError):
         Editor(JAVA_PACKAGES).load_events("garbage\n")

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ces import Event, JAVA_DOC, JAVA_PACKAGES, dump_model, model_equal
 from ces.cli import DOMAINS
 from ces.simulate import Channel, ConvergenceReport, ScriptError, Session, run_script
 from ces.editor import CommandError, LoadError
-from ces.events import OverwriteStrategy, encode
+from ces.events import CesError, OverwriteStrategy, decode, encode
 from ces.oracles import random_command_sequence
 
 ALICE_EVENT = Event(
@@ -200,8 +203,9 @@ def test_each_reported_dump_and_digest_is_its_editors_own(eventual):
 
 
 def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
-    # Editors interact only through encoded event text, so replaying each
-    # editor's feed on its own thread must land in the same final state.
+    # Editors interact only through immutable events, which the channels
+    # hand over as the sender stored them; so each editor's feed, encoded
+    # and replayed on a thread of its own, must land in the same final state.
     import threading
 
     from ces import Editor
@@ -247,33 +251,122 @@ def test_threaded_replay_of_the_delivery_log_matches_the_simulation():
         assert model_equal(twins[name].registry, session.editors[name].registry)
 
 
-def test_each_shared_submit_is_decoded_once_whatever_the_copies(monkeypatch):
-    from ces import editor as editor_module, simulate
+def test_a_shared_submit_reaches_each_receiver_as_the_stored_event_with_no_codec_call(monkeypatch):
+    # The channels carry the sender's stored event itself.  The events carry
+    # no time, so the session's clocks stamp them and never tie: no
+    # equal-time tie-break encodes either.
+    from ces import editor as editor_module, events as events_module, simulate
 
-    decoded = []
+    calls = []
+    for module in (simulate, editor_module, events_module):
+        for name in ("encode", "decode"):
+            if hasattr(module, name):
 
-    def counting_decode(text, decode=simulate.decode):
-        decoded.append(text)
-        return decode(text)
+                def counting(*args, _name=name, _codec=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _codec(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "decode", counting_decode)
-    monkeypatch.setattr(editor_module, "decode", counting_decode)
+                monkeypatch.setattr(module, name, counting)
     session = Session(seed=4, drop=0.3, duplicate=0.6, reorder=True)
     session.add_editor("p", JAVA_PACKAGES)
     session.add_editor("q", JAVA_PACKAGES)
     session.add_editor("d", JAVA_DOC)
-    shared = 0
+    senders = {}
     for index, event in enumerate(random_command_sequence(40, 4)):
         name = "pqd"[index % 3]
-        applied = session.submit(name, event)
-        shared += applied is not None
+        applied = session.submit(name, replace(event, time=""))
+        if applied is not None:
+            senders[applied] = name, applied
         if index % 5 == 4:
             session.flush()
     session.submit("d", Event("HaveContent", id="C0", params={"content": "local"}))
     session.settle()
-    assert shared > 10
-    assert len(decoded) == shared
+    assert calls == []
+    # No two stamps are equal, so a stored event equal to another editor's
+    # submit is one that editor received.
+    received = [
+        (event, senders[event][1])
+        for name, editor in session.editors.items()
+        for event in editor.active_commands.values()
+        if senders.get(event, (name,))[0] != name
+    ]
+    assert len(senders) > 10 and len(received) > 10
+    assert all(event is stored for event, stored in received)
     assert session.report().converged
+
+
+# Values and ids with every character the event text quotes or escapes.
+_ODD_TEXT = st.text(alphabet='a "\\\t\r\n\x85\xa0\u2028', max_size=5)
+_CONTAINER_IDS = ("org", "a b", "x\u2028")
+_LEAF_IDS = ("Editor", 'q"t\\')
+# Mostly the editor's own clock; two fixed stamps make equal-time ties.
+_TIMES = ("", "", "", "2020-01-01T00:00:00.000Z", "2020-01-01T00:00:01.000Z")
+
+
+@st.composite
+def _commands(draw) -> Event:
+    tag = draw(st.sampled_from(("HaveRoot", "HaveSubUnit", "HaveLeaf", "HaveContent", "RemoveCommand")))
+    time = draw(st.sampled_from(_TIMES))
+    if tag == "HaveRoot":
+        return Event(tag, id=draw(st.sampled_from(_CONTAINER_IDS)), time=time)
+    if tag == "HaveSubUnit":
+        child, parent = draw(st.permutations(_CONTAINER_IDS))[:2]
+        return Event(tag, id=child, time=time, params={"parent": parent})
+    if tag == "HaveLeaf":
+        params = {"parent": draw(st.sampled_from(_CONTAINER_IDS)), "vTag": draw(_ODD_TEXT)}
+        return Event(tag, id=draw(st.sampled_from(_LEAF_IDS)), time=time, params=params)
+    if tag == "HaveContent":
+        return Event(tag, id=draw(st.sampled_from(_LEAF_IDS)), time=time, params={"content": draw(_ODD_TEXT)})
+    return Event(tag, id=draw(st.sampled_from(_CONTAINER_IDS + _LEAF_IDS)), time=time)
+
+
+def _run_session(domains, options, steps) -> str:
+    """Submit each step's command, flushing after it when the step says
+    so; log each failure, then settle and report."""
+    session = Session(**options)
+    for index, domain in enumerate(domains):
+        session.add_editor(f"e{index}", DOMAINS[domain])
+    failures = []
+
+    def attempt(act, *args):
+        try:
+            act(*args)
+        except CesError as exc:
+            failures.append(str(exc))
+
+    for editor, event, flush in steps:
+        attempt(session.submit, f"e{editor % len(domains)}", event)
+        if flush:
+            attempt(session.flush)
+    attempt(session.settle)
+    return "\n".join(failures) + "\n" + session.report().to_text()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    domains=st.lists(st.sampled_from(("javapackages", "javadoc")), min_size=2, max_size=3),
+    seed=st.integers(0, 99),
+    strategy=st.sampled_from(list(OverwriteStrategy)),
+    drop=st.floats(0.1, 0.5),
+    duplicate=st.floats(0.1, 0.5),
+    eventual=st.booleans(),
+    steps=st.lists(st.tuples(st.integers(0, 2), _commands(), st.booleans()), min_size=4, max_size=25),
+)
+def test_a_session_reports_byte_for_byte_what_a_hop_through_the_text_reports(
+    domains, seed, strategy, drop, duplicate, eventual, steps
+):
+    # The channels carry the sender's stored event; encoding it and decoding
+    # that text before it goes on the wire must change nothing.
+    options = dict(seed=seed, strategy=strategy, drop=drop, duplicate=duplicate, reorder=True, eventual=eventual)
+    direct = _run_session(domains, options, steps)
+
+    def text_hop(channel, message):
+        channel.in_flight.append(decode(encode([message]))[0])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Channel, "submit", text_hop)
+        hopped = _run_session(domains, options, steps)
+    assert hopped == direct
 
 
 def test_session_clocks_never_collide():
@@ -299,6 +392,17 @@ def test_a_submit_holding_a_control_character_is_refused_and_leaves_the_replica_
     report = session.report()
     assert report.converged
     assert alice.digest() == session.editors["bob"].digest()
+
+
+def test_a_submit_holding_a_lone_surrogate_is_refused_and_the_session_still_reports():
+    session = Session()
+    alice = session.add_editor("alice", JAVA_PACKAGES)
+    session.add_editor("bob", JAVA_PACKAGES)
+    with pytest.raises(CommandError, match="lone surrogate in the id or a param value of 'p\\\\udc80'"):
+        session.submit("alice", Event("HaveRoot", id="p\udc80"))
+    assert alice.active_commands == {} and alice.registry.find("p\udc80") is None
+    session.settle()
+    assert session.report().converged
 
 
 # -- scripts --------------------------------------------------------------------------
