@@ -68,13 +68,6 @@ MUTANTS = (
         ("tests/test_objects.py::test_a_mutation_that_raises_changes_nothing",),
     ),
     Mutant(
-        "adoption skips _unshare",
-        "src/ces/objects.py",
-        "            return state\n        self._unshare(obj)\n",
-        "            return state\n",
-        ("tests/test_objects.py::test_an_instance_only_a_live_copy_still_holds_is_adopted_back_as_itself",),
-    ),
-    Mutant(
         "adoption takes another stamp as its own",
         "src/ces/objects.py",
         "        if obj._owner not in (None, self._stamp):\n            return state\n",
@@ -85,11 +78,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "place skips _unshare",
+        "copy() keeps the source's stamp",
         "src/ces/objects.py",
-        "        if old != parent:\n            self._unshare(obj)\n",
-        "        if old != parent:\n",
-        ("tests/test_javapackages.py::test_tree_writes_leave_a_live_clone_its_pre_image",),
+        "        copied._changed = dict(self._changed)\n        self._stamp = next(_stamps)\n",
+        "        copied._changed = dict(self._changed)\n",
+        (
+            "tests/test_javapackages.py::test_tree_writes_leave_a_live_clone_its_pre_image",
+            "tests/test_objects.py::test_a_write_on_either_side_of_a_copy_leaves_the_other_sides_entries_alone",
+        ),
     ),
     Mutant(
         "mutations hold a new id before they write",
@@ -128,6 +124,13 @@ MUTANTS = (
         "        registry.check_types((FOLDERS.container, javapackages._parent(event)), (FOLDERS.leaf, doc))\n",
         "",
         ("tests/test_javadoc.py::test_type_conflict_leaves_model_and_store_untouched",),
+    ),
+    Mutant(
+        "javadoc HaveLeaf takes a describing-file id",
+        "src/ces/javadoc.py",
+        "        if event.id.endswith(DOC_SUFFIX):\n            # Describing DocFiles belong to their folder's HaveSubUnit; a\n",
+        "        if False:\n            # Describing DocFiles belong to their folder's HaveSubUnit; a\n",
+        ("tests/test_javadoc.py::test_a_leaf_with_a_describing_file_id_is_refused_in_every_order",),
     ),
     Mutant(
         "check_ces_model replays under last-edit-wins",

@@ -6,6 +6,8 @@ tree, plus one addition: a sub-folder owns a describing DocFile named
 local-only HaveContent command fills DocFile content; it lives in its own
 store scope because it shares the DocFile's id with HaveLeaf while editing a
 disjoint slice of it, and it is excluded from synchronization by default.
+Describing-file ids belong to the folder's HaveSubUnit: HaveLeaf and
+HaveContent refuse them.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ class HaveSubUnit(javapackages.HaveSubUnit):
 
 
 class HaveLeaf(javapackages.HaveLeaf):
+    def run(self, editor: Editor, event: Event) -> None:
+        if event.id.endswith(DOC_SUFFIX):
+            # Describing DocFiles belong to their folder's HaveSubUnit; a
+            # second writer of the folder link would break commutativity.
+            raise CommandError(f"HaveLeaf may not target describing file {event.id!r}")
+        super().run(editor, event)
+
     def parse(self, obj: ModelObject) -> Event | None:
         if obj.id.endswith(DOC_SUFFIX):
             # Describing DocFiles belong to their folder's HaveSubUnit

@@ -7,8 +7,8 @@ command referenced before (or without) a creating command, and directly
 created objects a mutation wrote.  A parse pass and every mutation adopt
 the instances they are given into these maps by one rule: each takes over
 the state held for its id (see :meth:`ObjectRegistry.register_parsed`).  A
-copy of a registry shares its instances until one of them is written
-(copy-on-write, see :class:`ObjectRegistry`).
+copy of a registry shares its instances until either side writes one, and
+the writer duplicates it first (copy-on-write, see :class:`ObjectRegistry`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import itertools
 import re
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -54,8 +53,9 @@ class ModelObject:
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
 
-    # The stamp of the registry that may write this instance in place (see
-    # ObjectRegistry), None until a registry adopts it; equality, repr and
+    # The stamp of the registry that last adopted or created this instance,
+    # which writes it in place while that stamp is its current one (see
+    # ObjectRegistry); None until a registry adopts it.  Equality, repr and
     # the constructor ignore it.  A deep copy keeps it, so an edited deep
     # copy is adopted as itself.
     _owner: int | None = field(default=None, init=False, repr=False, compare=False)
@@ -140,17 +140,16 @@ class ObjectRegistry:
     parsing.  A mutation adopts each instance it is given (see
     :meth:`register_parsed`) and then edits it.
 
-    :meth:`copy` is copy-on-write.  Every held instance carries the stamp
-    of the one registry that owns it, and only its owner writes it in
-    place.  Before the owner writes an instance, each other live registry
-    of its copy family that still holds it gets its own duplicate of the
-    pre-image.  Whatever hands an instance out (:meth:`find`, and through
-    it :meth:`get_or_create`, :meth:`get_object_frame`,
-    :meth:`changed_objects` and the mutations) first swaps a borrowed one
-    for a private duplicate.  So an instance read straight from a map may
-    be shared with a live copy: fetch it with :meth:`find` and edit it only
-    through the mutations.  A registry and its live copies count as one
-    unit for threads.
+    :meth:`copy` is copy-on-write.  Every held instance carries a
+    registry's stamp, and a registry writes in place only the instances
+    that carry its current stamp.  Whatever hands an instance out
+    (:meth:`find`, and through it :meth:`get_or_create`,
+    :meth:`get_object_frame`, :meth:`changed_objects` and the mutations)
+    first swaps any other one for a duplicate it stamps.  :meth:`copy`
+    re-stamps both sides, so an instance handed out before a copy keeps
+    the copy-time state, and later writes land in a duplicate that
+    :meth:`find` returns.  No registry writes another's maps or
+    instances, so a registry and its copies need no shared lock.
     """
 
     def __init__(self, schema: AssociationSchema):
@@ -160,9 +159,6 @@ class ObjectRegistry:
         # Changed ids in first-mutation order (a dict used as an ordered set).
         self._changed: dict[str, None] = {}
         self._stamp = next(_stamps)
-        # Weak references to every registry of the copy family, this one
-        # included, one list shared by them all; None until the first copy.
-        self._family: list[weakref.ref[ObjectRegistry]] | None = None
 
     # -- lookup and lifecycle -------------------------------------------------
 
@@ -265,7 +261,6 @@ class ObjectRegistry:
                 models[id] = obj
         old = obj.to_one.get(link)
         if old != parent:
-            self._unshare(obj)
             if old is not None:
                 holder = self.find(old)
                 if holder is not None:
@@ -279,7 +274,6 @@ class ObjectRegistry:
                     target = frames[parent] = self._create(wanted, parent)
                 elif target._owner != stamp:
                     target = self._hold(_duplicate(target, stamp))
-                self._unshare(target)
                 obj.to_one[link] = parent
                 target.to_many.setdefault(end.other_name, set()).add(id)
                 changed[parent] = None
@@ -287,7 +281,6 @@ class ObjectRegistry:
         if attribute and (
             obj.attributes.get(attribute) != value if value else attribute in obj.attributes
         ):
-            self._unshare(obj)
             if value:
                 obj.attributes[attribute] = value
             else:
@@ -310,10 +303,10 @@ class ObjectRegistry:
         state, bare for a new id, so its edits reach the model only through
         the commands parsed from it and every link stays two-sided; another
         type raises TypeConflictError.  An instance that carries another
-        registry's stamp, whether that registry is live or gone, is adopted
-        as a copy.  An unstamped instance, or one this registry stamped, is
-        adopted as itself, and a live copy of this registry that still
-        holds it keeps its pre-image."""
+        stamp than this registry's current one, whether another registry's
+        or this one's from before a :meth:`copy`, is adopted as a copy.  An
+        unstamped instance, or one carrying the current stamp, is adopted
+        as itself."""
         held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
         if held is not obj:
             self._hold(self._adopted(obj, held))
@@ -325,32 +318,26 @@ class ObjectRegistry:
         self._checked(state, obj.object_type)
         if obj._owner not in (None, self._stamp):
             return state
-        self._unshare(obj)
         obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
         obj._owner = self._stamp
         return obj
 
     def copy(self) -> "ObjectRegistry":
         """A copy-on-write twin: new maps and a new change set that share
-        the schema and every instance with this registry, until either side
-        writes one.  The twin draws a stamp of its own and joins this
-        registry's copy family (see the class docstring), from which the
-        registries that are gone are pruned first."""
+        the schema and every instance with this registry.  The twin draws a
+        stamp of its own and this registry a fresh one, so neither owns an
+        instance they share, and each duplicates it on its first write."""
         copied = ObjectRegistry(self.schema)
         copied.model_objects = dict(self.model_objects)
         copied.frames = dict(self.frames)
         copied._changed = dict(self._changed)
-        family = self._family or [weakref.ref(self)]
-        family[:] = [ref for ref in family if ref() is not None]
-        family.append(weakref.ref(copied))
-        self._family = copied._family = family
+        self._stamp = next(_stamps)
         return copied
 
     def __deepcopy__(self, memo) -> "ObjectRegistry":
-        """A deep copy outside this registry's copy family: it draws a stamp
-        of its own and owns a duplicate of each instance, so neither
-        registry counts the other's instances as its own.  (A deep copy of
-        a single :class:`ModelObject` keeps its stamp.)"""
+        """A deep copy that shares no instance: it draws a stamp of its own
+        and owns a duplicate of each instance.  (A deep copy of a single
+        :class:`ModelObject` keeps its stamp.)"""
         copied = memo[id(self)] = ObjectRegistry(copy.deepcopy(self.schema, memo))
         pairs = ((self.model_objects, copied.model_objects), (self.frames, copied.frames))
         for source, target in pairs:
@@ -358,20 +345,6 @@ class ObjectRegistry:
                 target[key] = _duplicate(obj, copied._stamp)
         copied._changed = dict(self._changed)
         return copied
-
-    def _unshare(self, obj: ModelObject) -> None:
-        """Before ``obj``, an instance this registry stamped, is written in
-        place, give every other live registry of this copy family that
-        holds it a duplicate of the pre-image.  No registry outside the
-        family holds it: any other registry adopts it as a copy."""
-        if self._family is None:
-            return
-        for ref in self._family:
-            other = ref()
-            if other is None or other is self:
-                continue
-            if (other.model_objects.get(obj.id) or other.frames.get(obj.id)) is obj:
-                other._hold(_duplicate(obj, other._stamp))
 
     # -- change tracking ------------------------------------------------------
 
@@ -391,10 +364,9 @@ class ObjectRegistry:
 
     def _writable(self, obj: ModelObject) -> None:
         """Before a mutation writes ``obj`` in place: hold it if its id is
-        new (so a mutation that writes nothing holds no new id), and unshare it."""
+        new, so a mutation that writes nothing holds no new id."""
         if obj.id not in self.model_objects and obj.id not in self.frames:
             self.frames[obj.id] = obj
-        self._unshare(obj)
 
     # -- attribute and link mutation -------------------------------------------
 
@@ -453,7 +425,6 @@ class ObjectRegistry:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""
         members = holder.to_many.get(link)
         if members is not None:
-            self._unshare(holder)
             members.discard(id)
             if not members:
                 del holder.to_many[link]
@@ -567,20 +538,18 @@ class ModelDiff:
     warnings: list[str] = field(default_factory=list)
 
 
-def _attr_state(obj: ModelObject) -> dict[str, str]:
-    return {k: v for k, v in obj.attributes.items() if v}
+def _links(obj: ModelObject) -> dict[str, str | set[str]]:
+    """The canonical links of ``obj``: empty entries dropped, and a to-many
+    entry winning over a to-one of its name (as in dump_model)."""
+    links: dict[str, str | set[str]] = {k: v for k, v in obj.to_one.items() if v}
+    links.update({k: v for k, v in obj.to_many.items() if v})
+    return links
 
 
-def _link_state(obj: ModelObject) -> dict[str, object]:
-    state: dict[str, object] = {k: v for k, v in obj.to_one.items() if v}
-    state.update({k: frozenset(v) for k, v in obj.to_many.items() if v})
-    return state
-
-
-def _render(value: object) -> str:
-    if isinstance(value, frozenset):
+def _render(value: str | set[str] | None) -> str:
+    if isinstance(value, set):
         return "{" + ",".join(sorted(value)) + "}"
-    return repr(value) if value is None else str(value)
+    return repr(value) if value is None else value
 
 
 def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
@@ -595,7 +564,7 @@ def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
     for id in sorted(objects_b.keys() - objects_a.keys()):
         diff.differences.append(f"only in b: {objects_b[id].object_type} {id}")
     # Raw equality (type, id, attributes, links) implies canonical equality,
-    # so only the shared ids whose objects differ raw are sorted and
+    # so only the attributes or links of an object that differ raw are
     # canonicalized; an empty attribute or link set may still compare equal.
     mismatched = [
         id
@@ -609,20 +578,19 @@ def model_diff(a: ObjectRegistry, b: ObjectRegistry) -> ModelDiff:
                 f"{id}: type differs: {oa.object_type} != {ob.object_type}"
             )
             continue
-        attrs_a, attrs_b = _attr_state(oa), _attr_state(ob)
-        for key in sorted(set(attrs_a) | set(attrs_b)):
-            if attrs_a.get(key) != attrs_b.get(key):
-                diff.differences.append(
-                    f"{id}: attribute {key!r} differs: "
-                    f"{attrs_a.get(key, '')!r} != {attrs_b.get(key, '')!r}"
-                )
-        links_a, links_b = _link_state(oa), _link_state(ob)
-        for key in sorted(set(links_a) | set(links_b)):
-            if links_a.get(key) != links_b.get(key):
-                diff.differences.append(
-                    f"{id}: link {key} differs: "
-                    f"{_render(links_a.get(key))} != {_render(links_b.get(key))}"
-                )
+        if oa.attributes != ob.attributes:
+            for key in sorted(oa.attributes.keys() | ob.attributes.keys()):
+                value_a, value_b = oa.attributes.get(key) or "", ob.attributes.get(key) or ""
+                if value_a != value_b:
+                    diff.differences.append(f"{id}: attribute {key!r} differs: {value_a!r} != {value_b!r}")
+        if oa.to_one != ob.to_one or oa.to_many != ob.to_many:
+            links_a, links_b = _links(oa), _links(ob)
+            for key in sorted(links_a.keys() | links_b.keys()):
+                if links_a.get(key) != links_b.get(key):
+                    diff.differences.append(
+                        f"{id}: link {key} differs: "
+                        f"{_render(links_a.get(key))} != {_render(links_b.get(key))}"
+                    )
     for id in sorted(a.frames.keys() - b.frames.keys()):
         diff.warnings.append(f"frame only in a: {id}")
     for id in sorted(b.frames.keys() - a.frames.keys()):
@@ -658,7 +626,7 @@ def dump_model(registry: ObjectRegistry) -> str:
     for id in sorted(objects):
         obj = objects[id]
         attrs = ",".join([f"{_field(k)}={_field(v)}" for k, v in sorted(obj.attributes.items()) if v])
-        # As in _link_state, a to-many entry wins over a to-one of its name.
+        # As in _links, a to-many entry wins over a to-one of its name.
         links = {k: quoted(v, v) for k, v in obj.to_one.items() if v}
         for k, v in obj.to_many.items():
             if v:

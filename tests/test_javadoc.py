@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, model_equal
+from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, LoadError, model_equal
 from ces.javadoc import DOC_SUFFIX
 from ces.objects import TypeConflictError
 from ces.oracles import random_command_sequence, replay
@@ -213,6 +213,24 @@ def test_content_refuses_describing_doc_files(doc_editor):
         )
     assert doc_editor.get_active("fulib.Doc", scope="content") is None
     assert doc_editor.registry.model_objects["fulib.Doc"].attributes["content"] == "fulib docu"
+
+
+def test_a_leaf_with_a_describing_file_id_is_refused_in_every_order():
+    # The leaf and folder p's sub-unit would both write p.Doc's folder link,
+    # so the model would depend on the order the two events ran in.
+    events = [
+        Event("HaveRoot", id="r", time=T[0]),
+        Event("HaveSubUnit", id="p", time=T[1], params={"parent": "r"}),
+        Event("HaveRoot", id="q", time=T[2]),
+        Event("HaveLeaf", id="p.Doc", time=T[3], params={"parent": "q"}),
+    ]
+    without = snapshot(run(events[:3]))
+    for order in itertools.permutations(events):
+        editor = Editor(JAVA_DOC)
+        with pytest.raises(LoadError, match="HaveLeaf may not target describing file 'p.Doc'") as refused:
+            editor.load(list(order))
+        assert refused.value.applied == 3
+        assert snapshot(editor) == without
 
 
 def test_content_parse_matches_plain_doc_files_only(doc_editor):

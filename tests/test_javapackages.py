@@ -131,6 +131,43 @@ def test_tree_writes_leave_a_live_clone_its_pre_image(seed, writer, domain):
     assert editors[writer].registry.consistency_violations() == []
 
 
+@pytest.mark.parametrize("domain", [JAVA_PACKAGES, JAVA_DOC], ids=lambda d: d.name)
+def test_a_clone_and_its_source_written_on_two_threads_end_as_two_sequential_runs(domain):
+    # No registry writes another's maps or instances, so a clone and its
+    # source need no shared lock; a lost or crossed update breaks an image.
+    import sys
+    import threading
+
+    head = random_command_sequence(60, 7)
+    tails = [
+        random_command_sequence(300, seed, base_time="2020-01-02T00:00:00.000Z") for seed in (8, 9)
+    ]
+    source = replay(head, domain)
+    editors = [source, source.clone()]
+
+    def write(editor, tail):
+        for event in tail:
+            editor.execute(event)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=pair) for pair in zip(editors, tails)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for editor, tail in zip(editors, tails):
+        expected = replay(head + tail, domain)
+        assert dump_model(editor.registry) == dump_model(expected.registry)
+        assert editor.registry.frames == expected.registry.frames
+        assert editor.active_commands == expected.active_commands
+        assert editor.registry.consistency_violations() == []
+
+
 def test_have_leaf_sets_class_package_and_vtag(packages_editor):
     leaf = packages_editor.registry.model_objects["Editor"]
     assert leaf.object_type == "JavaClass"

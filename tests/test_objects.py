@@ -560,6 +560,46 @@ def test_model_diff_equals_the_canonical_reference(common, only_a, only_b):
     assert (diff.differences, diff.warnings) == _reference_diff(a, b)
 
 
+@st.composite
+def _raw_registries(draw):
+    """Two registries whose maps hold raw states straight from the strategy:
+    empty attribute values, empty link sets, a to-one and a to-many entry of
+    one name, and instances the two registries share."""
+    names, ids = st.sampled_from(["pPack", "pack", "classes"]), ["p", "q", "r"]
+
+    def raw(id: str) -> ModelObject:
+        return ModelObject(
+            draw(st.sampled_from(["JavaPackage", "JavaClass"])),
+            id,
+            draw(st.dictionaries(st.sampled_from(["vTag", "note"]), st.sampled_from(["", "1", "2"]))),
+            draw(st.dictionaries(names, st.sampled_from(["", "p", "q"]))),
+            draw(st.dictionaries(names, st.sets(st.sampled_from(ids), max_size=2))),
+        )
+
+    a, b = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    for id in ids:
+        held = draw(st.sampled_from(["a", "b", "both", "shared", "frames"]))
+        if held in ("a", "both", "shared"):
+            a.model_objects[id] = raw(id)
+        if held in ("b", "both"):
+            b.model_objects[id] = raw(id)
+        if held == "shared":
+            b.model_objects[id] = a.model_objects[id]
+        if held == "frames":
+            for registry in draw(st.sampled_from([(a,), (b,), (a, b)])):
+                registry.frames[id] = raw(id)
+    return a, b
+
+
+@settings(max_examples=300)
+@given(_raw_registries())
+def test_model_diff_of_raw_states_equals_the_canonical_reference(registries):
+    a, b = registries
+    for first, second in ((a, b), (b, a)):
+        diff = model_diff(first, second)
+        assert (diff.differences, diff.warnings) == _reference_diff(first, second)
+
+
 @pytest.mark.parametrize(
     "raw, canonical",
     [
@@ -822,15 +862,24 @@ def test_each_registry_of_a_copy_family_behaves_like_its_own_deep_copy(ops):
         if kind == "clone":
             if len(family) < 3:
                 family.append((registry.copy(), copy.deepcopy(shadow), {}))
+                # A copy re-stamps its source: what it handed out before is
+                # no longer what it hands out.
+                handed.clear()
         elif kind == "drop":
             if len(family) > 1:
                 del family[pick % len(family)]
         else:
-            raw = [(table, dict(table)) for table in (registry.model_objects, registry.frames)]
+            raw = [
+                (table, dict(table))
+                for member, _, _ in family
+                for table in (member.model_objects, member.frames)
+                if member is not registry or kind == "adopt_raw"
+            ]
             _family_op(registry, kind, x, y, value, giver(handed))
             _family_op(shadow, kind, x, y, value, _ignore)
-            if kind == "adopt_raw":
-                assert all(table[id] is obj for table, held in raw for id, obj in held.items())
+            # No operation reaches another member's maps, and adopting the
+            # held instances changes none of this member's entries.
+            assert all(table == held and all(table[id] is obj for id, obj in held.items()) for table, held in raw)
         for registry, shadow, handed in family:
             assert dump_model(registry) == dump_model(shadow)
             assert (registry.model_objects, registry.frames) == (shadow.model_objects, shadow.frames)
@@ -891,17 +940,47 @@ def test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy():
     assert dump_model(registry) == before
 
 
-def test_an_instance_only_a_live_copy_still_holds_is_adopted_back_as_itself():
+def test_an_instance_handed_out_before_a_copy_is_adopted_as_a_copy():
     registry = _registry_with_class()
+    handed = registry.find("x")
     twin = registry.copy()
-    shared = registry.find("x")
-    registry.register_parsed(copy.deepcopy(shared))  # now the twin alone holds shared
-    registry.set_attribute(registry.find("x"), "vTag", "2.0")
+    registry.set_attribute(handed, "vTag", "2.0")
+    assert handed.attributes == {"vTag": "1.0"} and twin.model_objects["x"] is handed
     before = dump_model(twin)
-    registry.register_parsed(shared)
-    assert registry.find("x") is shared and shared.attributes == {"vTag": "2.0"}
-    assert dump_model(twin) == before
-    assert twin.find("x").attributes == {"vTag": "1.0"}
+    for adopter in (registry, twin):
+        adopter.register_parsed(copy.deepcopy(handed))  # keeps the pre-copy stamp
+        assert adopter.find("x") is not handed
+    assert registry.find("x").attributes == {"vTag": "2.0"}
+    assert dump_model(twin) == before and handed.attributes == {"vTag": "1.0"}
+
+
+_WRITES = {
+    "place": lambda r: r.place("JavaClass", "c0", "pack", "p0", "vTag", "2.0"),
+    "set_attribute": lambda r: r.set_attribute(r.find("c0"), "vTag", "2.0"),
+    "set_link": lambda r: r.set_link(r.find("p1"), "pPack", None),
+    "add_to_many": lambda r: r.add_to_many(r.find("p0"), "classes", "c0"),
+    "remove_from_many": lambda r: r.remove_from_many(r.find("p1"), "classes", "c0"),
+    "remove_model_object": lambda r: r.remove_model_object("p1"),
+    "register_parsed": lambda r: r.register_parsed(ModelObject("JavaClass", "c0")),
+}
+
+
+@pytest.mark.parametrize("write", list(_WRITES))
+@pytest.mark.parametrize("writer", ["source", "copy"])
+def test_a_write_on_either_side_of_a_copy_leaves_the_other_sides_entries_alone(writer, write):
+    source = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    source.place("JavaPackage", "p1", "pPack", "p0")
+    source.place("JavaClass", "c0", "pack", "p1", "vTag", "1.0")
+    copied = source.copy()
+    edited, other = (source, copied) if writer == "source" else (copied, source)
+    entries = (dict(other.model_objects), dict(other.frames))
+    before = dump_model(other)
+    _WRITES[write](edited)
+    for table, held in zip((other.model_objects, other.frames), entries):
+        assert table == held and all(table[id] is obj for id, obj in held.items())
+    assert dump_model(other) == before
+    assert dump_model(edited) != before or write == "register_parsed"
+    assert edited.consistency_violations() == other.consistency_violations() == []
 
 
 def test_a_deep_copy_of_a_registry_owns_its_instances():
