@@ -37,44 +37,30 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-_CHECK = "        self.check_types(*[(instance.object_type, instance.id) for instance in given])\n"
-_ADOPT = """\
-        # The target goes first, so an instance of its id given as obj takes its place.
-        taken = {}
-        for instance in given:
-            if instance.id not in models and instance.id not in frames:
-                taken[instance.id] = self._adopted(instance, None)
-            else:
-                self.register_parsed(instance)
-                taken[instance.id] = self.find(instance.id)
-"""
+_TAKEN = "        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted}\n"
 
 MUTANTS = (
     Mutant(
-        "adoption skips the state takeover",
+        "a mutation holds the given instance",
         "src/ces/objects.py",
-        "        obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many\n",
-        "",
+        _TAKEN,
+        _TAKEN.replace(
+            "self._create(object_type, id)",
+            "next(name for name in (obj, target) if getattr(name, 'id', None) == id)",
+        ),
         (
             "tests/test_objects.py::test_a_mutation_drops_the_raw_links_of_a_new_instance",
-            "tests/test_objects.py::test_register_parsed_adopts_the_edited_instance",
+            "tests/test_objects.py::test_two_new_instances_of_one_id_as_object_and_target_link_consistently",
         ),
     ),
     Mutant(
-        "mutations adopt before their checks",
+        "find hands out a shared instance",
         "src/ces/objects.py",
-        _CHECK + _ADOPT,
-        _ADOPT + _CHECK,
-        ("tests/test_objects.py::test_a_mutation_that_raises_changes_nothing",),
-    ),
-    Mutant(
-        "adoption takes another stamp as its own",
-        "src/ces/objects.py",
-        "        if obj._owner not in (None, self._stamp):\n            return state\n",
-        "",
+        "        return self._hold(_duplicate(obj, self._stamp))\n",
+        "        return obj\n",
         (
-            "tests/test_objects.py::test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy",
-            "tests/test_objects.py::test_a_mutation_given_another_registrys_instance_writes_a_duplicate",
+            "tests/test_javapackages.py::test_tree_writes_leave_a_live_clone_its_pre_image",
+            "tests/test_objects.py::test_a_write_on_either_side_of_a_copy_leaves_the_other_sides_entries_alone",
         ),
     ),
     Mutant(
@@ -90,14 +76,14 @@ MUTANTS = (
     Mutant(
         "mutations hold a new id before they write",
         "src/ces/objects.py",
-        "                taken[instance.id] = self._adopted(instance, None)\n",
-        "                taken[instance.id] = self._hold(self._adopted(instance, None))\n",
+        _TAKEN,
+        _TAKEN.replace("self._create(object_type, id)", "self._hold(self._create(object_type, id))"),
         ("tests/test_objects.py::test_a_mutation_that_writes_nothing_holds_no_new_id",),
     ),
     Mutant(
         "mutations take an empty id",
         "src/ces/objects.py",
-        '        if not all(instance.id for instance in given):\n            raise UnknownObjectError("object id must be non-empty")\n',
+        '            elif not name.id:\n                raise UnknownObjectError("object id must be non-empty")\n',
         "",
         ("tests/test_objects.py::test_a_mutation_refuses_an_instance_with_an_empty_id",),
     ),
@@ -155,6 +141,41 @@ MUTANTS = (
             "tests/test_simulate.py::"
             "test_a_shared_submit_reaches_each_receiver_as_the_stored_event_with_no_codec_call",
         ),
+    ),
+    Mutant(
+        "check_commutative ignores refusals",
+        "src/ces/oracles.py",
+        "            refused[event] = exc.failures[0]\n",
+        "            pass\n",
+        (
+            "tests/test_cli.py::test_check_commute_counts_an_order_refusing_other_events_as_not_commutative",
+            "tests/test_oracles.py::test_an_event_refused_in_one_order_only_is_a_divergence_even_when_the_models_agree",
+        ),
+    ),
+    Mutant(
+        "decode takes a duplicate key",
+        "src/ces/events.py",
+        '        elif key in fields:\n            raise DecodeError(lineno, f"duplicate key {key!r} in event block")\n',
+        "",
+        ("tests/test_events.py::test_decode_rejects_duplicate_key",),
+    ),
+    Mutant(
+        "the block regex takes a reserved key as a param",
+        "src/ces/events.py",
+        "(?!(?:{'|'.join(RESERVED_KEYS)}): )",
+        "",
+        ("tests/test_events.py::test_decode_rejects_duplicate_key",),
+    ),
+    Mutant(
+        "decode swaps the unterminated and bad escape errors",
+        "src/ces/events.py",
+        '        raise DecodeError(line, "unterminated quoted value")\n'
+        '    if raw[end] == "\\\\":\n'
+        '        raise DecodeError(line, "bad escape sequence in quoted value")\n',
+        '        raise DecodeError(line, "bad escape sequence in quoted value")\n'
+        '    if raw[end] == "\\\\":\n'
+        '        raise DecodeError(line, "unterminated quoted value")\n',
+        ("tests/test_events.py::test_decode_rejects_malformed_lines_with_line_number",),
     ),
 )
 

@@ -235,35 +235,19 @@ class Editor:
     def parse(self, objects) -> int:
         """Rebuild commands from (possibly directly edited) model objects.
 
-        Offers each object to every handler's parse, then adopts the objects
-        (see :meth:`ObjectRegistry.register_parsed`), even those whose
-        commands are unchanged; they stay adopted if a later one raises.  An
-        instance of an unknown id is adopted only when a command was
-        recovered from it, so no parse leaves a bare frame behind.  Whether
-        an id is known is read from the raw maps, so parsing the instances
-        of a copy's own maps neither duplicates nor takes over the ones it
-        shares with its source (see :meth:`ObjectRegistry.copy`).  Runs
-        each recovered event only when it differs from the stored one in
-        some field other than time, so unchanged increments keep their
-        timestamps.  A recovered event the stored one outranks is ignored,
-        and the stored one runs again to put its increment back; a stored
-        tombstone first has the recovered event's increment removed
-        (detached and demoted to a frame).  Returns the number of new or
-        updated commands.
+        Offers each object to every handler's parse and runs the recovered
+        events; the registry holds none of the given objects, and their
+        edits reach the model only through those events (see
+        :meth:`ObjectRegistry._take`).  Runs each recovered event only when
+        it differs from the stored one in some field other than time, so
+        unchanged increments keep their timestamps.  A recovered event the
+        stored one outranks is ignored, and the stored one runs again to put
+        its increment back; a stored tombstone first has the recovered
+        event's increment removed (detached and demoted to a frame).
+        Returns the number of new or updated commands.
         """
-        collected: list[Event] = []
-        adopted: list[ModelObject] = []
-        for obj in objects:
-            recovered = len(collected)
-            for handler in self.handlers.values():
-                found = handler.parse(obj)
-                if found is not None:
-                    collected.append(found)
-            known = obj.id in self.registry.model_objects or obj.id in self.registry.frames
-            if len(collected) > recovered or known:
-                adopted.append(obj)
-        for obj in adopted:
-            self.registry.register_parsed(obj)
+        handlers = self.handlers.values()
+        collected = [event for obj in objects for handler in handlers if (event := handler.parse(obj)) is not None]
         changed = 0
         for event in collected:
             scope = self.handlers[event.type_tag].store_scope

@@ -4,11 +4,11 @@ two-map registry that governs object identity and lifecycle.
 Each known id lives in exactly one of two maps.  ``model_objects`` holds
 fully initialized objects; ``frames`` holds context-only stand-ins: ids some
 command referenced before (or without) a creating command, and directly
-created objects a mutation wrote.  A parse pass and every mutation adopt
-the instances they are given into these maps by one rule: each takes over
-the state held for its id (see :meth:`ObjectRegistry.register_parsed`).  A
-copy of a registry shares its instances until either side writes one, and
-the writer duplicates it first (copy-on-write, see :class:`ObjectRegistry`).
+created objects a mutation wrote.  Only the registry puts an instance in
+these maps: a mutation's operands are names, and an instance handed to one
+stands only for its type and id.  A copy of a registry shares its instances
+until either side writes one, and the writer duplicates it first
+(copy-on-write, see :class:`ObjectRegistry`).
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ class ModelObject:
     to_one: dict[str, str] = field(default_factory=dict)
     to_many: dict[str, set[str]] = field(default_factory=dict)
 
-    # The stamp of the registry that last adopted or created this instance,
-    # which writes it in place while that stamp is its current one (see
-    # ObjectRegistry); None until a registry adopts it.  Equality, repr and
-    # the constructor ignore it.  A deep copy keeps it, so an edited deep
-    # copy is adopted as itself.
+    # The stamp of the registry that made this instance, which writes it in
+    # place while that stamp is its current one (see ObjectRegistry); None
+    # for an instance no registry made.  Equality, repr and the constructor
+    # ignore it.
     _owner: int | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -137,8 +136,8 @@ class ObjectRegistry:
 
     All attribute and link edits go through the registry so that both link
     ends stay consistent and changed objects are tracked for incremental
-    parsing.  A mutation adopts each instance it is given (see
-    :meth:`register_parsed`) and then edits it.
+    parsing.  A mutation takes each operand as a name (see :meth:`_take`)
+    and edits the instance this registry holds or makes for it.
 
     :meth:`copy` is copy-on-write.  Every held instance carries a
     registry's stamp, and a registry writes in place only the instances
@@ -296,31 +295,8 @@ class ObjectRegistry:
         return self.find(id)
 
     def register_parsed(self, obj: ModelObject) -> None:
-        """Adopt a directly edited instance, unless it is the held one; the
-        mutations adopt the instances they are given by this same rule, a
-        new id's only once they write it (see :meth:`_take`).  The
-        instance replaces the one held for its id and takes over the held
-        state, bare for a new id, so its edits reach the model only through
-        the commands parsed from it and every link stays two-sided; another
-        type raises TypeConflictError.  An instance that carries another
-        stamp than this registry's current one, whether another registry's
-        or this one's from before a :meth:`copy`, is adopted as a copy.  An
-        unstamped instance, or one carrying the current stamp, is adopted
-        as itself."""
-        held = self.model_objects.get(obj.id) or self.frames.get(obj.id)
-        if held is not obj:
-            self._hold(self._adopted(obj, held))
-
-    def _adopted(self, obj: ModelObject, held: ModelObject | None) -> ModelObject:
-        """The instance that holds ``obj.id`` once ``obj`` is adopted in
-        place of ``held`` (None for a new id), not yet put in a map."""
-        state = _duplicate(held, self._stamp) if held else self._create(obj.object_type, obj.id)
-        self._checked(state, obj.object_type)
-        if obj._owner not in (None, self._stamp):
-            return state
-        obj.attributes, obj.to_one, obj.to_many = state.attributes, state.to_one, state.to_many
-        obj._owner = self._stamp
-        return obj
+        """:meth:`get_object_frame` for the type and id of ``obj``."""
+        self.get_object_frame(obj.object_type, obj.id)
 
     def copy(self) -> "ObjectRegistry":
         """A copy-on-write twin: new maps and a new change set that share
@@ -336,8 +312,7 @@ class ObjectRegistry:
 
     def __deepcopy__(self, memo) -> "ObjectRegistry":
         """A deep copy that shares no instance: it draws a stamp of its own
-        and owns a duplicate of each instance.  (A deep copy of a single
-        :class:`ModelObject` keeps its stamp.)"""
+        and owns a duplicate of each instance."""
         copied = memo[id(self)] = ObjectRegistry(copy.deepcopy(self.schema, memo))
         pairs = ((self.model_objects, copied.model_objects), (self.frames, copied.frames))
         for source, target in pairs:
@@ -370,7 +345,7 @@ class ObjectRegistry:
 
     # -- attribute and link mutation -------------------------------------------
 
-    def set_attribute(self, obj: ModelObject, name: str, value: str) -> None:
+    def set_attribute(self, obj: ModelObject | str, name: str, value: str) -> None:
         """Set an attribute; an empty value removes it (absent and empty are
         one canonical state)."""
         obj = self._take(obj)[1]
@@ -383,43 +358,37 @@ class ObjectRegistry:
             self._mark(obj)
 
     def _take(
-        self, obj: ModelObject, link: str = "", many: bool = False, target: ModelObject | str | None = None
+        self, obj: ModelObject | str, link: str = "", many: bool = False, target: ModelObject | str | None = None
     ) -> tuple[LinkEnd | None, ModelObject, ModelObject | None]:
-        """A mutation's operands, checked and only then adopted: the end of
+        """A mutation's operands, checked before any write: the end of
         ``obj``'s ``link`` (None for an attribute), to-many exactly when
-        ``many``, and the instances of ``obj`` and ``target`` (an instance,
-        a held id, or None) to write.  A failed check, an empty id among
-        them, changes nothing.  The instance of a new id is adopted but
-        joins the frames only at the mutation's first write (see
-        :meth:`_writable`)."""
-        end = self.schema.end_for(obj.object_type, link) if link else None
+        ``many``, and the instances this registry writes for the names
+        ``obj`` and ``target`` (None for no target).  A name is a held id,
+        or an instance that stands only for its type and id and is itself
+        never read, written or held.  A held id resolves to what
+        :meth:`find` returns; an instance of an unknown id resolves to a
+        bare one this registry makes, which joins the frames only at the
+        mutation's first write (see :meth:`_writable`).  An unknown or
+        empty id and a type other than the held one or the link's raise."""
+        wanted = []  # (type, id) of obj, target, and the type target's link end wants
+        for name in [obj] if target is None else [obj, target]:
+            if isinstance(name, str):
+                if (held := self.model_objects.get(name) or self.frames.get(name)) is None:
+                    raise UnknownObjectError(f"unknown object id {name!r}")
+                wanted.append((held.object_type, name))
+            elif not name.id:
+                raise UnknownObjectError("object id must be non-empty")
+            else:
+                wanted.append((name.object_type, name.id))
+        end = self.schema.end_for(wanted[0][0], link) if link else None
         if end is not None and end.many != many:
             hint = "many; use add_to_many" if end.many else "one; use set_link"
             raise SchemaError(f"link {link!r} is to-{hint}")
-        if isinstance(target, str):
-            if (found := self.model_objects.get(target) or self.frames.get(target)) is None:
-                raise UnknownObjectError(f"unknown object id {target!r}")
-            target = found
-        models, frames, stamp = self.model_objects, self.frames, self._stamp
-        if obj._owner == stamp and (models.get(obj.id) or frames.get(obj.id)) is obj and (
-            target is None
-            or target._owner == stamp and target.object_type == end.other_type
-            and (models.get(target.id) or frames.get(target.id)) is target
-        ):  # held instances, the common case, skip the checks they pass
-            return end, obj, target
-        given = [obj] if target is None else [self._checked(target, end.other_type), obj]
-        if not all(instance.id for instance in given):
-            raise UnknownObjectError("object id must be non-empty")
-        self.check_types(*[(instance.object_type, instance.id) for instance in given])
-        # The target goes first, so an instance of its id given as obj takes its place.
-        taken = {}
-        for instance in given:
-            if instance.id not in models and instance.id not in frames:
-                taken[instance.id] = self._adopted(instance, None)
-            else:
-                self.register_parsed(instance)
-                taken[instance.id] = self.find(instance.id)
-        return end, taken[obj.id], None if target is None else taken[target.id]
+        if target is not None:
+            wanted.append((end.other_type, wanted[1][1]))
+        self.check_types(*wanted)
+        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted}
+        return end, taken[wanted[0][1]], None if target is None else taken[wanted[1][1]]
 
     def _discard(self, holder: ModelObject, link: str, id: str) -> None:
         """Drop ``id`` from a to-many link set; an emptied set goes too."""
@@ -429,7 +398,7 @@ class ObjectRegistry:
             if not members:
                 del holder.to_many[link]
 
-    def set_link(self, obj: ModelObject, link: str, target: ModelObject | str | None) -> None:
+    def set_link(self, obj: ModelObject | str, link: str, target: ModelObject | str | None) -> None:
         """Point a to-one link at ``target`` (object, id, or None to clear),
         keeping the reverse end consistent.  Reassignment detaches the old
         target first."""
@@ -452,10 +421,10 @@ class ObjectRegistry:
             self._mark(target_obj)
         self._mark(obj)
 
-    def unset_link(self, obj: ModelObject, link: str) -> None:
+    def unset_link(self, obj: ModelObject | str, link: str) -> None:
         self.set_link(obj, link, None)
 
-    def add_to_many(self, obj: ModelObject, link: str, target: ModelObject | str) -> None:
+    def add_to_many(self, obj: ModelObject | str, link: str, target: ModelObject | str) -> None:
         """Add ``target`` to a to-many link set.  If the reverse end is
         to-one this is the reverse view of a reassignment and delegates to
         :meth:`set_link`."""
@@ -472,7 +441,7 @@ class ObjectRegistry:
         self._mark(obj)
         self._mark(target_obj)
 
-    def remove_from_many(self, obj: ModelObject, link: str, target: ModelObject | str) -> None:
+    def remove_from_many(self, obj: ModelObject | str, link: str, target: ModelObject | str) -> None:
         end, obj, target_obj = self._take(obj, link, True, target)
         if not end.other_many:
             if target_obj.to_one.get(end.other_name) == obj.id:

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 
-from .editor import Domain, Editor
+from .editor import Domain, Editor, LoadError
 from .events import (
     BASE_TIME,
     TIMESTAMP_RE,
@@ -155,23 +155,41 @@ def check_commutative(
     seed: int = 0,
     strategy: OverwriteStrategy = OverwriteStrategy.LAST_EDIT_WINS,
 ) -> CommuteReport:
-    """Replay the sequence in order, in reverse, and in seeded random
-    permutations; pass iff every variant yields the same model and store."""
+    """Load the sequence in order, in reverse, and in seeded random
+    permutations; pass iff every variant yields the same model and store
+    and refuses the same events as the given order."""
     events = stamp_events(events)
     if any(not e.id for e in events):
         raise MissingIdError("check_commutative needs events with explicit ids")
-    base = replay(events, domain, strategy=strategy)
+    base, refused = _loaded(events, domain, strategy)
     report = CommuteReport(passed=True)
     for label, ordered in _variants(events, trials, seed):
-        other = replay(ordered, domain, strategy=strategy)
+        other, other_refused = _loaded(ordered, domain, strategy)
         diffs = list(model_diff(base.registry, other.registry).differences)
         if other.active_commands != base.active_commands:
             diffs.append("active command stores differ")
+        for event in events:
+            if (event in refused) != (event in other_refused):
+                where, failure = ("the given", refused[event]) if event in refused else ("this", other_refused[event])
+                diffs.append(f"refused only in {where} order: {failure}")
         del other  # the base and one variant at a time
         report.entries.append((label, diffs))
         if diffs:
             report.passed = False
     return report
+
+
+def _loaded(events: list[Event], domain: Domain, strategy: OverwriteStrategy) -> tuple[Editor, dict[Event, str]]:
+    """A fresh editor that loaded the events in order, sharing every event
+    type, and the failure of each event it refused."""
+    editor = Editor(domain, strategy=strategy, clock=_clock_beyond(events), sync_filter=frozenset())
+    refused = {}
+    for event in events:
+        try:
+            editor.load([event])
+        except LoadError as exc:
+            refused[event] = exc.failures[0]
+    return editor, refused
 
 
 def _variants(events: list[Event], trials: int, seed: int):

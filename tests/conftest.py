@@ -24,6 +24,15 @@ def snapshot(editor: Editor):
     return copy.deepcopy((maps, registry.changed_ids, editor.active_commands))
 
 
+def unchanged_and_unheld(registry, given, built) -> bool:
+    """Whether ``given``, an instance handed to ``registry``, still equals
+    ``built``, its copy from when it was built, stamp included, and neither
+    map of ``registry`` holds it."""
+    maps = (registry.model_objects, registry.frames)
+    unheld = all(obj is not given for held in maps for obj in held.values())
+    return unheld and given == built and given._owner == built._owner
+
+
 @pytest.fixture
 def packages_editor() -> Editor:
     editor = Editor(JAVA_PACKAGES)

@@ -263,6 +263,25 @@ def test_check_commute_refuses_a_negative_trial_count(capsys, start_file):
     assert (code, out) == (0, "commutative: yes\nreverse: ok\n")
 
 
+def test_check_commute_counts_an_order_refusing_other_events_as_not_commutative(capsys, tmp_path):
+    # In the given order p's describing DocFile p.Doc refuses the folder
+    # p.Doc; in the reverse order the folder p.Doc refuses p.
+    path = tmp_path / "folders.ces"
+    path.write_text(
+        encode([
+            Event("HaveRoot", id="r"),
+            Event("HaveSubUnit", id="p", params={"parent": "r"}),
+            Event("HaveSubUnit", id="p.Doc", params={"parent": "r"}),
+        ]),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "check-commute", "--domain", "javadoc", "--in", str(path), "--trials", "0")
+    assert (code, err) == (1, "")
+    assert out.startswith("commutative: no\nreverse: DIFFERS\n")
+    assert "  refused only in the given order: HaveSubUnit 'p.Doc': id 'p.Doc' is a DocFile, requested Folder\n" in out
+    assert "  refused only in this order: HaveSubUnit 'p': id 'p.Doc' is a Folder, requested DocFile\n" in out
+
+
 # -- simulate ---------------------------------------------------------------------------
 
 

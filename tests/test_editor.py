@@ -37,7 +37,7 @@ from ces.objects import (
 )
 from ces.oracles import check_ces_model, replay
 
-from conftest import snapshot, start_events
+from conftest import snapshot, start_events, unchanged_and_unheld
 
 T = [f"2020-01-01T14:00:0{i}.000Z" for i in range(10)]
 
@@ -629,9 +629,9 @@ def test_manual_edit_scenario_parses_to_the_five_command_set(packages_editor):
     }
     # untouched increment keeps its original timestamp
     assert editor.get_active("serv") == serv_before
-    # the directly created objects were adopted, not duplicated
-    assert registry.model_objects["com"] is com
-    assert registry.model_objects["Command"] is command
+    # the directly created objects stand for their ids: unchanged, and not held
+    assert unchanged_and_unheld(registry, com, ModelObject("JavaPackage", "com"))
+    assert unchanged_and_unheld(registry, command, ModelObject("JavaClass", "Command"))
 
 
 def test_isolated_empty_package_parses_to_garbage_removal():
@@ -726,12 +726,14 @@ def test_parse_over_a_winning_tombstone_demotes_a_new_container_its_leaf_referen
     editor = Editor(domain, strategy=strategy, clock=stepping_clock(T[5]))
     editor.execute(Event("RemoveCommand", id="p", time=tombstone_time))
     registry = editor.registry
-    container = ModelObject(tree.container, "p")
-    registry.set_link(ModelObject(tree.leaf, "C"), tree.leaf_up, container)
+    container, leaf = ModelObject(tree.container, "p"), ModelObject(tree.leaf, "C")
+    registry.set_link(leaf, tree.leaf_up, container)
     editor.parse(registry.changed_objects())
     assert editor.get_active("p").type_tag == "RemoveCommand"
     assert editor.get_active("C").type_tag == "HaveLeaf"
-    assert registry.frames["p"] is container
+    assert "p" in registry.frames and "p" not in registry.model_objects
+    assert unchanged_and_unheld(registry, container, ModelObject(tree.container, "p"))
+    assert unchanged_and_unheld(registry, leaf, ModelObject(tree.leaf, "C"))
     assert registry.consistency_violations() == []
     replayed = replay(editor.active_commands.values(), domain, strategy=strategy)
     assert model_diff(registry, replayed.registry).differences == []
@@ -748,29 +750,33 @@ def test_parse_over_a_winning_tombstone_demotes_a_new_container_its_leaf_referen
         ([("fulib", {"pPack": "serv"}, set())], 1),
     ],
 )
-def test_parse_adopts_edited_copies_of_known_objects(edits, changed):
-    # Each copy replaces the instance the registry keeps, and the links the
-    # recovered commands make or keep are two-sided.
+def test_parse_of_edited_copies_of_known_objects_holds_none_of_them(edits, changed):
+    # The registry keeps its own instances, and the links the recovered
+    # commands make or keep are two-sided.
     editor = Editor(JAVA_PACKAGES)
     editor.execute(Event("HaveRoot", id="org", time=T[0]))
     editor.execute(Event("HaveSubUnit", id="fulib", time=T[1], params={"parent": "org"}))
     editor.execute(Event("HaveSubUnit", id="serv", time=T[2], params={"parent": "org"}))
-    copies = [
-        ModelObject("JavaPackage", id, to_one=up, to_many={"subPackages": down} if down else {})
-        for id, up, down in edits
-    ]
-    assert editor.parse(copies) == changed
+
+    def copies():
+        return [
+            ModelObject("JavaPackage", id, to_one=dict(up), to_many={"subPackages": set(down)} if down else {})
+            for id, up, down in edits
+        ]
+
+    given = copies()
+    assert editor.parse(given) == changed
     registry = editor.registry
     assert registry.consistency_violations() == []
-    assert all(registry.model_objects[copy.id] is copy for copy in copies)
+    assert all(unchanged_and_unheld(registry, *pair) for pair in zip(given, copies()))
     replayed = replay(editor.active_commands.values(), JAVA_PACKAGES)
     assert model_diff(registry, replayed.registry).differences == []
 
 
-def test_parse_of_an_instance_of_another_type_raises_and_changes_nothing(packages_editor):
+def test_parse_of_an_instance_of_another_type_changes_nothing(packages_editor):
+    # No packages handler recovers a command from a Folder, as for an unknown id.
     before = snapshot(packages_editor)
-    with pytest.raises(TypeConflictError):
-        packages_editor.parse([ModelObject("Folder", "org")])
+    assert packages_editor.parse([ModelObject("Folder", "org")]) == 0
     assert snapshot(packages_editor) == before
     assert packages_editor.registry.consistency_violations() == []
 
@@ -802,8 +808,8 @@ def test_linking_from_a_copy_of_a_known_object_links_the_held_one():
     copy = ModelObject("JavaPackage", "p1")
     registry.set_link(copy, "pPack", "org")
     assert registry.consistency_violations() == []
-    assert registry.find("p1") is copy
-    assert copy.to_one == {"pPack": "org"}
+    assert unchanged_and_unheld(registry, copy, ModelObject("JavaPackage", "p1"))
+    assert registry.find("p1").to_one == {"pPack": "org"}
     editor.parse(registry.changed_objects())
     assert registry.consistency_violations() == []
     assert editor.get_active("p1").params == {"parent": "org"}
@@ -984,7 +990,7 @@ def test_parsing_another_editors_objects_then_editing_leaves_that_editor_unchang
     assert check_ces_model(a).passed
 
 
-def test_adopting_an_instance_of_a_gone_registry_leaves_its_live_copy_unchanged():
+def test_a_mutation_given_an_instance_of_a_gone_registry_leaves_its_live_copy_unchanged():
     a, b = Editor(JAVA_PACKAGES), Editor(JAVA_PACKAGES)
     a.load(start_events())
     b.load(start_events())
@@ -992,9 +998,9 @@ def test_adopting_an_instance_of_a_gone_registry_leaves_its_live_copy_unchanged(
     before = dump_model(c.registry)
     shared = c.registry.model_objects["Editor"]
     del a
-    b.registry.register_parsed(shared)
-    b.registry.set_attribute(b.registry.find("Editor"), "vTag", "5.0")
+    b.registry.set_attribute(shared, "vTag", "5.0")
     assert b.registry.find("Editor").attributes["vTag"] == "5.0"
+    assert shared.attributes["vTag"] == "1.0"
     assert dump_model(c.registry) == before
     assert c.registry.consistency_violations() == []
     assert check_ces_model(c).passed

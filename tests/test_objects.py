@@ -22,6 +22,8 @@ from ces.objects import (
     model_equal,
 )
 
+from conftest import unchanged_and_unheld
+
 M2M_SCHEMA = AssociationSchema([Association("Node", "uses", True, "Node", "usedBy", True)])
 
 
@@ -52,30 +54,23 @@ def test_frame_miss_creates_context_stand_in(registry):
     assert "serv" not in registry.model_objects
 
 
-def test_register_parsed_adopts_the_edited_instance(registry):
-    stale = registry.get_or_create("JavaPackage", "org")
-    registry.set_attribute(stale, "note", "x")
-    registry.set_link(registry.get_or_create("JavaPackage", "fulib"), "pPack", stale)
+def test_register_parsed_fetches_the_frame_of_the_name_and_holds_no_instance(registry):
+    held = registry.get_or_create("JavaPackage", "org")
+    registry.set_attribute(held, "note", "x")
     edited = ModelObject("JavaPackage", "org", to_many={"subPackages": {"serv"}})
     registry.register_parsed(edited)
-    assert registry.get_object_frame("JavaPackage", "org") is edited
-    assert registry.get_or_create("JavaPackage", "org") is edited
-    assert registry.model_objects["org"] is edited is not stale
-    # The adopted instance takes over the held state in dicts of its own.
-    assert (edited.attributes, edited.to_many) == ({"note": "x"}, {"subPackages": {"fulib"}})
-    assert edited.to_many["subPackages"] is not stale.to_many["subPackages"]
-    assert registry.consistency_violations() == []
-    # An instance of an id no model object holds replaces or joins the frames, bare.
-    registry.get_object_frame("JavaPackage", "serv")
-    for id in ("serv", "com"):
-        instance = ModelObject("JavaPackage", id, to_one={"pPack": "org"})
-        registry.register_parsed(instance)
-        assert registry.frames[id] is instance and id not in registry.model_objects
-        assert instance.to_one == {}
+    assert registry.model_objects == {"org": held} and registry.frames == {}
+    assert held.attributes == {"note": "x"} and held.to_many == {}
+    assert edited.to_many == {"subPackages": {"serv"}}
+    # An id no map holds gets a bare frame of the registry's own.
+    instance = ModelObject("JavaPackage", "com", to_one={"pPack": "org"})
+    registry.register_parsed(instance)
+    assert registry.frames["com"] == ModelObject("JavaPackage", "com")
+    assert unchanged_and_unheld(registry, instance, ModelObject("JavaPackage", "com", to_one={"pPack": "org"}))
     # An instance of another type is refused.
     with pytest.raises(TypeConflictError):
         registry.register_parsed(ModelObject("JavaClass", "org"))
-    assert registry.model_objects["org"] is edited
+    assert registry.consistency_violations() == []
 
 
 def test_get_or_create_promotes_existing_frame(registry):
@@ -226,8 +221,8 @@ def test_clearing_a_link_to_an_unregistered_object_clears_its_reverse(registry, 
         registry.clear_changes()
     registry.set_link(p1, "pPack", None)
     assert "pPack" not in p1.to_one
-    assert p0.to_many == {}
-    assert registry.frames["p0"] is p0
+    assert registry.frames["p0"].to_many == {}
+    assert unchanged_and_unheld(registry, p0, ModelObject("JavaPackage", "p0"))
     assert registry.consistency_violations() == []
 
 
@@ -332,7 +327,8 @@ def test_changed_objects_keep_first_mutation_order(registry):
     fresh = ModelObject("JavaClass", "C")
     registry.set_link(fresh, "pack", objs[0])
     assert [obj.id for obj in registry.changed_objects()] == ids + ["C"]
-    assert all(a is b for a, b in zip(registry.changed_objects(), objs + [fresh]))
+    assert all(a is b for a, b in zip(registry.changed_objects(), objs + [registry.find("C")]))
+    assert unchanged_and_unheld(registry, fresh, ModelObject("JavaClass", "C"))
 
 
 def test_unchanged_writes_do_not_mark(registry):
@@ -378,15 +374,18 @@ def test_model_objects_are_slotted_and_their_owner_is_no_part_of_equality_or_rep
             record.note = "ad hoc"
 
 
-def test_a_deep_copy_of_a_model_object_keeps_its_owner():
+def test_a_deep_copy_of_a_model_object_keeps_its_owner_and_is_never_held():
     registry = _tree()
     held = registry.find("Editor")
     copied = copy.deepcopy(held)
     assert copied == held and copied is not held and copied.attributes is not held.attributes
     assert copied._owner == held._owner
     copied.attributes["vTag"] = "2.0"
-    registry.register_parsed(copied)
-    assert registry.find("Editor") is copied  # adopted as itself, not as a copy
+    built = copy.deepcopy(copied)
+    registry.set_attribute(copied, "note", "x")
+    assert registry.find("Editor") is held
+    assert held.attributes == {"vTag": "1.0", "note": "x"}
+    assert unchanged_and_unheld(registry, copied, built)
 
 
 def test_a_held_model_object_pickles_with_its_stamp():
@@ -714,10 +713,10 @@ def link_ops(draw):
                         "remove",
                         "fresh",
                         "clear",
-                        "adopt",
-                        "adopt_bare",
-                        "adopt_linked",
-                        "adopt_foreign",
+                        "given",
+                        "given_bare",
+                        "given_linked",
+                        "given_foreign",
                     ]
                 ),
                 st.sampled_from(["org", "fulib", "serv", "com"]),
@@ -758,22 +757,24 @@ def test_bidirectional_consistency_holds_after_any_operation_sequence(ops):
             registry.set_link(registry.get_or_create("JavaPackage", x), "pPack", fresh)
         elif op == "clear":
             registry.clear_changes()
-        elif op.startswith("adopt") and registry.find(x) is not None:
-            # an edited copy: structural, bare (every link dropped), with a
+        elif op.startswith("given") and registry.find(x) is not None:
+            # a mutation given an edited copy: structural, bare, with a
             # one-sided link added, or of another type
             held = registry.find(x)
-            if op == "adopt_foreign":
+            if op == "given_foreign":
                 with pytest.raises(TypeConflictError):
-                    registry.register_parsed(ModelObject("JavaClass", x))
+                    registry.set_attribute(ModelObject("JavaClass", x), "note", y)
                 assert registry.find(x) is held
                 continue
-            edited = copy.deepcopy(registry.find(x))
-            if op == "adopt_bare":
+            edited = copy.deepcopy(held)
+            if op == "given_bare":
                 edited = ModelObject("JavaPackage", x)
-            elif op == "adopt_linked" and x != y:
+            elif op == "given_linked" and x != y:
                 edited.to_one["pPack"] = y
-            registry.register_parsed(edited)
-            assert registry.find(x) is edited
+            built = copy.deepcopy(edited)
+            registry.set_attribute(edited, "note", y)
+            assert registry.find(x) is held and held.attributes["note"] == y
+            assert unchanged_and_unheld(registry, edited, built)
     assert registry.consistency_violations() == []
     assert not registry.model_objects.keys() & registry.frames.keys()
     assert all(registry.find(id) is not None for id in registry.changed_ids)
@@ -785,9 +786,8 @@ _FAMILY_IDS = ["p0", "p1", "p2", "c0", "c1"]
 
 
 def _family_op(registry: ObjectRegistry, kind: str, x: str, y: str, value: str, give) -> None:
-    """One registry operation; every instance it is handed goes through
-    ``give``, an adopted one with ``adopted=True``.  ``y`` names a package,
-    ``x`` any object."""
+    """One registry operation; every instance it hands out goes through
+    ``give``.  ``y`` names a package, ``x`` any object."""
     up, down = ("pPack", "subPackages") if _type_of(x) == "JavaPackage" else ("pack", "classes")
     if kind == "attr":
         registry.set_attribute(give(registry.get_or_create(_type_of(x), x)), "vTag", value)
@@ -803,15 +803,17 @@ def _family_op(registry: ObjectRegistry, kind: str, x: str, y: str, value: str, 
         registry.remove_from_many(give(registry.get_object_frame("JavaPackage", y)), down, x)
     elif kind == "remove":
         give(registry.remove_model_object(x))
-    elif kind == "adopt_edited" and give(registry.find(x)) is not None:
+    elif kind == "given_edited" and give(registry.find(x)) is not None:
         edited = copy.deepcopy(registry.find(x))
-        edited.attributes["vTag"] = value or "edited"
+        edited.attributes["vTag"] = "edited"
         edited.to_one[up] = y
-        registry.register_parsed(edited)
-        give(edited, adopted=True)
-    elif kind == "adopt_raw":
+        registry.set_attribute(edited, "vTag", value)
+        assert edited.attributes["vTag"] == "edited" and edited.to_one[up] == y
+        give(registry.find(x))
+    elif kind == "given_raw":
+        # The instances of the raw maps, shared with copies until written.
         for obj in [*registry.model_objects.values(), *registry.frames.values()]:
-            registry.register_parsed(obj)
+            registry.set_attribute(obj, "vTag", value)
     elif kind == "clear":
         registry.clear_changes()
     elif kind == "changed":
@@ -819,7 +821,7 @@ def _family_op(registry: ObjectRegistry, kind: str, x: str, y: str, value: str, 
             give(obj)
 
 
-def _ignore(obj: ModelObject | None, adopted: bool = False) -> ModelObject | None:
+def _ignore(obj: ModelObject | None) -> ModelObject | None:
     return obj
 
 
@@ -827,7 +829,7 @@ _family_ops = st.lists(
     st.tuples(
         st.sampled_from(
             ["clone", "drop", "attr", "link", "unlink", "add", "drop_many", "remove",
-             "adopt_edited", "adopt_raw", "clear", "changed"]
+             "given_edited", "given_raw", "clear", "changed"]
         ),
         st.integers(0, 2),
         st.sampled_from(_FAMILY_IDS),
@@ -849,10 +851,9 @@ def test_each_registry_of_a_copy_family_behaves_like_its_own_deep_copy(ops):
     family = [(root, copy.deepcopy(root), {})]
 
     def giver(handed: dict[str, ModelObject]):
-        def give(obj: ModelObject | None, adopted: bool = False) -> ModelObject | None:
+        def give(obj: ModelObject | None) -> ModelObject | None:
             if obj is not None:
-                assert adopted or handed.setdefault(obj.id, obj) is obj
-                handed[obj.id] = obj
+                assert handed.setdefault(obj.id, obj) is obj
             return obj
 
         return give
@@ -873,12 +874,11 @@ def test_each_registry_of_a_copy_family_behaves_like_its_own_deep_copy(ops):
                 (table, dict(table))
                 for member, _, _ in family
                 for table in (member.model_objects, member.frames)
-                if member is not registry or kind == "adopt_raw"
+                if member is not registry
             ]
             _family_op(registry, kind, x, y, value, giver(handed))
             _family_op(shadow, kind, x, y, value, _ignore)
-            # No operation reaches another member's maps, and adopting the
-            # held instances changes none of this member's entries.
+            # No operation reaches another member's maps.
             assert all(table == held and all(table[id] is obj for id, obj in held.items()) for table, held in raw)
         for registry, shadow, handed in family:
             assert dump_model(registry) == dump_model(shadow)
@@ -919,13 +919,13 @@ def test_a_mutation_given_another_registrys_instance_writes_a_duplicate():
     other.set_attribute(lent, "vTag", "9.0")
     other.set_link(lent, "pack", other.get_or_create("JavaPackage", "p"))
     assert dump_model(owner) == before and lent.to_one == {}
-    adopted = other.find("x")
-    assert adopted is not lent and other.frames["x"] is adopted
-    assert adopted.attributes == {"vTag": "9.0"} and adopted.to_one == {"pack": "p"}
+    written = other.find("x")
+    assert written is not lent and other.frames["x"] is written
+    assert written.attributes == {"vTag": "9.0"} and written.to_one == {"pack": "p"}
     assert other.consistency_violations() == owner.consistency_violations() == []
 
 
-def test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy():
+def test_an_instance_handed_out_by_a_gone_copy_stands_only_for_its_id():
     registry = _registry_with_class()
     twin = registry.copy()
     edited = twin.find("x")
@@ -933,25 +933,26 @@ def test_an_instance_handed_out_by_a_gone_copy_is_adopted_as_a_copy():
     del twin
     assert gone() is None
     edited.attributes["vTag"] = "2.0"
-    before = dump_model(registry)
-    registry.register_parsed(edited)
-    assert registry.find("x") is not edited
-    assert edited.attributes == {"vTag": "2.0"}
-    assert dump_model(registry) == before
+    built = copy.deepcopy(edited)
+    registry.set_attribute(edited, "note", "n")
+    assert registry.find("x").attributes == {"vTag": "1.0", "note": "n"}
+    assert unchanged_and_unheld(registry, edited, built)
 
 
-def test_an_instance_handed_out_before_a_copy_is_adopted_as_a_copy():
+def test_an_instance_handed_out_before_a_copy_stands_only_for_its_id():
     registry = _registry_with_class()
     handed = registry.find("x")
     twin = registry.copy()
     registry.set_attribute(handed, "vTag", "2.0")
     assert handed.attributes == {"vTag": "1.0"} and twin.model_objects["x"] is handed
-    before = dump_model(twin)
-    for adopter in (registry, twin):
-        adopter.register_parsed(copy.deepcopy(handed))  # keeps the pre-copy stamp
-        assert adopter.find("x") is not handed
-    assert registry.find("x").attributes == {"vTag": "2.0"}
-    assert dump_model(twin) == before and handed.attributes == {"vTag": "1.0"}
+    for writer in (registry, twin):
+        given = copy.deepcopy(handed)  # keeps the pre-copy stamp
+        writer.set_attribute(given, "note", "n")
+        assert writer.find("x") is not handed
+        assert unchanged_and_unheld(writer, given, copy.deepcopy(handed))
+    assert registry.find("x").attributes == {"vTag": "2.0", "note": "n"}
+    assert twin.find("x").attributes == {"vTag": "1.0", "note": "n"}
+    assert handed.attributes == {"vTag": "1.0"}
 
 
 _WRITES = {
@@ -988,28 +989,29 @@ def test_a_deep_copy_of_a_registry_owns_its_instances():
     source.get_or_create("JavaClass", "y")
     deep = copy.deepcopy(source)
     before = dump_model(deep)
-    source.register_parsed(deep.find("y"))
-    source.set_attribute(source.find("y"), "vTag", "9.0")
+    source.set_attribute(deep.find("y"), "vTag", "9.0")
     assert dump_model(deep) == before
     deep.set_attribute(deep.find("x"), "vTag", "7.0")
     assert source.find("x").attributes == {"vTag": "1.0"}
     assert deep.find("x").attributes == {"vTag": "7.0"}
     # The deep copy's instances are its own: find hands them out as held.
     assert all(deep.find(id) is obj for id, obj in deep.model_objects.items())
-    # A deep copy of one instance keeps its owner, so it is adopted as itself.
-    edited = copy.deepcopy(source.find("x"))
-    source.register_parsed(edited)
-    assert source.find("x") is edited
+    # A deep copy of one instance keeps its owner, and still only names its id.
+    edited, built = copy.deepcopy(source.find("x")), copy.deepcopy(source.find("x"))
+    source.set_attribute(edited, "vTag", "3.0")
+    assert unchanged_and_unheld(source, edited, built)
+    assert source.find("x").attributes == {"vTag": "3.0"}
 
 
-# -- one adoption rule: what a mutation does with the instance it is given -------
+# -- one name rule: a mutation's operands are ids, or instances naming one -------
 
 
 def test_a_mutation_drops_the_raw_links_of_a_new_instance(registry):
     given = ModelObject("JavaClass", "x", to_one={"pack": "ghost"})
     registry.set_attribute(given, "vTag", "1")
     assert registry.consistency_violations() == []
-    assert registry.frames["x"] is given and given.to_one == {}
+    assert registry.frames["x"].to_one == {}
+    assert unchanged_and_unheld(registry, given, ModelObject("JavaClass", "x", to_one={"pack": "ghost"}))
     registry.get_or_create("JavaClass", "x")
     assert dump_model(registry) == "JavaClass x {vTag=1} links{}\n"
 
@@ -1028,8 +1030,10 @@ def test_two_new_instances_of_one_id_as_object_and_target_link_consistently(regi
     obj, target = ModelObject("JavaPackage", "x"), ModelObject("JavaPackage", "x")
     registry.set_link(obj, "pPack", target)
     assert registry.consistency_violations() == []
-    assert registry.find("x") is obj
-    assert obj.to_one == {"pPack": "x"} and obj.to_many == {"subPackages": {"x"}}
+    held = registry.find("x")
+    assert held.to_one == {"pPack": "x"} and held.to_many == {"subPackages": {"x"}}
+    for given in (obj, target):
+        assert unchanged_and_unheld(registry, given, ModelObject("JavaPackage", "x"))
 
 
 _WRITING_NOTHING = {
@@ -1150,9 +1154,12 @@ _LINKS = {
 }
 
 
+_OPERANDS = ["held", "id", "stale", *_KINDS]
+
+
 @st.composite
-def _adoption_steps(draw):
-    kinds = st.sampled_from(["held", "structural_copy", *_KINDS])
+def _operand_steps(draw):
+    kinds = st.sampled_from(_OPERANDS)
     steps = []
     for _ in range(draw(st.integers(0, 12))):
         id = draw(st.sampled_from(sorted(_POOL)))
@@ -1165,44 +1172,73 @@ def _adoption_steps(draw):
     return steps
 
 
-@settings(max_examples=300, deadline=None)
-@given(_adoption_steps())
-def test_mutations_keep_every_link_two_sided_whatever_instances_they_are_given(steps):
-    registry = ObjectRegistry(JAVA_PACKAGES_SCHEMA)
-    lenders: list[ObjectRegistry] = []
+def _step(registry: ObjectRegistry, action: str, obj, link: str, target, value: str) -> type | None:
+    """One mutation; the type of the error it raised, or None."""
+    try:
+        if action == "attribute":
+            registry.set_attribute(obj, "vTag", value)
+        elif link in ("pPack", "pack"):
+            registry.set_link(obj, link, target)
+        elif target is not None and value:
+            registry.add_to_many(obj, link, target)
+        elif target is not None:
+            registry.remove_from_many(obj, link, target)
+    except (UnknownObjectError, TypeConflictError) as exc:
+        return type(exc)
+    return None
 
-    def given(kind: str, id: str) -> ModelObject:
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_steps())
+def test_mutations_keep_every_link_two_sided_whatever_instances_they_are_given(steps):
+    # Each step runs twice: on the registry with the operand of its kind,
+    # and on a reference with the plain id, or a bare instance for a new id.
+    registry, reference = ObjectRegistry(JAVA_PACKAGES_SCHEMA), ObjectRegistry(JAVA_PACKAGES_SCHEMA)
+    lenders: list[ObjectRegistry] = []
+    copies: list[tuple[ObjectRegistry, str]] = []
+    # Each given instance but a held one, and its copy from when it was given.
+    kept: list[tuple[ModelObject, ModelObject]] = []
+    built: list[ModelObject] = []  # those the test built, which no map may hold
+
+    def given(kind: str, id: str) -> ModelObject | str:
         object_type = _POOL.get(id, "JavaPackage")
         held = registry.find(id)
-        if kind == "held" and held is not None:
-            return held
-        if kind == "structural_copy" and held is not None:
-            to_many = {link: set(ids) for link, ids in held.to_many.items()}
-            return ModelObject(held.object_type, id, dict(held.attributes), dict(held.to_one), to_many)
-        return _given(kind if kind in _KINDS else "bare", registry, object_type, id, lenders)
+        if held is not None and kind in ("held", "id", "stale"):
+            if kind == "stale":  # handed out before a copy that stays alive
+                copies.append((registry.copy(), dump_model(registry)))
+                kept.append((held, copy.deepcopy(held)))
+            return id if kind == "id" else held
+        instance = _given(kind if kind in _KINDS else "bare", registry, object_type, id, lenders)
+        built.append(instance)
+        kept.append((instance, copy.deepcopy(instance)))
+        return instance
+
+    def plain(id: str) -> ModelObject | str:
+        return id if reference.find(id) is not None else ModelObject(_POOL.get(id, "JavaPackage"), id)
 
     for action, kind, id, link, target, value in steps:
-        obj = given(kind, id)
+        obj, plain_target = given(kind, id), target
         if isinstance(target, tuple):
-            target = given(*target)
+            target, plain_target = given(*target), plain(target[1])
         registry.clear_changes()
+        reference.clear_changes()
         before = _state(registry)
-        try:
-            if action == "attribute":
-                registry.set_attribute(obj, "vTag", value)
-            elif link in ("pPack", "pack"):
-                registry.set_link(obj, link, target)
-            elif target is not None and value:
-                registry.add_to_many(obj, link, target)
-            elif target is not None:
-                registry.remove_from_many(obj, link, target)
-        except (UnknownObjectError, TypeConflictError):
+        outcome = _step(registry, action, obj, link, target, value)
+        assert outcome == _step(reference, action, plain(id), link, plain_target, value)
+        if outcome is not None:
             assert _state(registry) == before
+        assert dump_model(registry) == dump_model(reference)
+        assert (registry.model_objects, registry.frames) == (reference.model_objects, reference.frames)
+        assert registry.changed_ids == reference.changed_ids
         assert registry.consistency_violations() == []
         # A new id joins the maps only when the step writes it.
         assert {*registry.model_objects, *registry.frames} <= {*before[0][0], *before[0][1], *registry.changed_ids}
         for held in [*registry.model_objects.values(), *registry.frames.values()]:
             assert all(held.attributes.values()) and all(held.to_one.values()) and all(held.to_many.values())
+            assert all(held is not instance for instance in built)
+        assert all(instance == as_given and instance._owner == as_given._owner for instance, as_given in kept)
+    for copied, dump in copies:
+        assert dump_model(copied) == dump
     for lender in lenders:
         assert lender.consistency_violations() == []
         assert all(obj.attributes == {"note": "lent"} for obj in lender.model_objects.values() if obj.id in _POOL)

@@ -192,6 +192,20 @@ def test_non_commutative_handlers_are_detected():
     assert any(diffs for _, diffs in report.entries)
 
 
+def test_an_event_refused_in_one_order_only_is_a_divergence_even_when_the_models_agree():
+    # In the reverse order the leaf X under the class Y is stale, not refused.
+    events = [
+        Event("HaveRoot", id="p", time=T[0]),
+        Event("HaveLeaf", id="Y", time=T[1], params={"parent": "p"}),
+        Event("HaveLeaf", id="X", time=T[2], params={"parent": "Y"}),
+        Event("HaveLeaf", id="X", time=T[3], params={"parent": "p"}),
+    ]
+    report = check_commutative(events, JAVA_PACKAGES, trials=0)
+    failure = "HaveLeaf 'X': id 'Y' is a JavaClass, requested JavaPackage"
+    assert not report.passed
+    assert report.entries == [("reverse", [f"refused only in the given order: {failure}"])]
+
+
 def test_large_generated_sequence_is_commutative():
     events = random_command_sequence(100, seed=7)
     report = check_commutative(events, JAVA_PACKAGES, trials=20, seed=7)
@@ -201,15 +215,19 @@ def test_large_generated_sequence_is_commutative():
 
 @pytest.fixture
 def alive_models(monkeypatch):
-    """For each replay an oracle starts, the indices of the models it built
-    before (replays and clones, in order) that are still alive."""
+    """For each replay or load an oracle starts, the indices of the models
+    it built before (replays, loads and clones, in order) that are still
+    alive."""
     built, alive = [], []
 
-    def recording_replay(*args, **kwargs):
-        alive.append([index for index, ref in enumerate(built) if ref() is not None])
-        editor = replay(*args, **kwargs)
-        built.append(weakref.ref(editor))
-        return editor
+    def recording(build):
+        def recorded(*args, **kwargs):
+            alive.append([index for index, ref in enumerate(built) if ref() is not None])
+            result = build(*args, **kwargs)
+            built.append(weakref.ref(result if isinstance(result, Editor) else result[0]))
+            return result
+
+        return recorded
 
     clone = Editor.clone
 
@@ -218,7 +236,8 @@ def alive_models(monkeypatch):
         built.append(weakref.ref(twin))
         return twin
 
-    monkeypatch.setattr(oracles, "replay", recording_replay)
+    monkeypatch.setattr(oracles, "replay", recording(replay))
+    monkeypatch.setattr(oracles, "_loaded", recording(oracles._loaded))
     monkeypatch.setattr(Editor, "clone", recording_clone)
     return alive
 
