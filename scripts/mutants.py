@@ -37,7 +37,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-_TAKEN = "        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted}\n"
+_TAKEN = "        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted[:2]}\n"
 
 MUTANTS = (
     Mutant(
@@ -145,11 +145,31 @@ MUTANTS = (
     Mutant(
         "check_commutative ignores refusals",
         "src/ces/oracles.py",
-        "            refused[event] = exc.failures[0]\n",
+        "            refused[event] = exc.with_traceback(None)\n",
         "            pass\n",
         (
             "tests/test_cli.py::test_check_commute_counts_an_order_refusing_other_events_as_not_commutative",
             "tests/test_oracles.py::test_an_event_refused_in_one_order_only_is_a_divergence_even_when_the_models_agree",
+        ),
+    ),
+    Mutant(
+        "a kept refusal holds its editor",
+        "src/ces/oracles.py",
+        "            refused[event] = exc.with_traceback(None)\n",
+        "            refused[event] = exc\n",
+        (
+            "tests/test_oracles.py::"
+            "test_check_commutative_holds_the_base_and_one_variant_when_orders_refuse_events",
+        ),
+    ),
+    Mutant(
+        "check_commutative passes an event every order refuses",
+        "src/ces/oracles.py",
+        "    if everywhere:\n        raise next(iter(everywhere.values()))\n",
+        "",
+        (
+            "tests/test_cli.py::test_check_commute_exits_two_on_an_event_every_order_refuses",
+            "tests/test_oracles.py::test_check_commutative_raises_an_event_every_order_refuses",
         ),
     ),
     Mutant(

@@ -387,7 +387,7 @@ class ObjectRegistry:
         if target is not None:
             wanted.append((end.other_type, wanted[1][1]))
         self.check_types(*wanted)
-        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted}
+        taken = {id: self.find(id) or self._create(object_type, id) for object_type, id in wanted[:2]}
         return end, taken[wanted[0][1]], None if target is None else taken[wanted[1][1]]
 
     def _discard(self, holder: ModelObject, link: str, id: str) -> None:
@@ -428,18 +428,18 @@ class ObjectRegistry:
         """Add ``target`` to a to-many link set.  If the reverse end is
         to-one this is the reverse view of a reassignment and delegates to
         :meth:`set_link`."""
-        end, obj, target_obj = self._take(obj, link, True, target)
+        end, holder, member = self._take(obj, link, True, target)
         if not end.other_many:
-            self.set_link(target_obj, end.other_name, obj)
+            self.set_link(target, end.other_name, obj)
             return
-        if target_obj.id in obj.to_many.get(link, ()):
+        if member.id in holder.to_many.get(link, ()):
             return
-        self._writable(obj)
-        self._writable(target_obj)
-        obj.to_many.setdefault(link, set()).add(target_obj.id)
-        target_obj.to_many.setdefault(end.other_name, set()).add(obj.id)
-        self._mark(obj)
-        self._mark(target_obj)
+        self._writable(holder)
+        self._writable(member)
+        holder.to_many.setdefault(link, set()).add(member.id)
+        member.to_many.setdefault(end.other_name, set()).add(holder.id)
+        self._mark(holder)
+        self._mark(member)
 
     def remove_from_many(self, obj: ModelObject | str, link: str, target: ModelObject | str) -> None:
         end, obj, target_obj = self._take(obj, link, True, target)

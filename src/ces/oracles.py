@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 
-from .editor import Domain, Editor, LoadError
+from .editor import Domain, Editor
 from .events import (
     BASE_TIME,
     TIMESTAMP_RE,
@@ -57,11 +57,11 @@ def replay(
     *,
     strategy: OverwriteStrategy = OverwriteStrategy.LAST_EDIT_WINS,
 ) -> Editor:
-    """Fresh editor with the events executed in order (deterministic clock)."""
-    events = list(events)
-    editor = Editor(domain, strategy=strategy, clock=_clock_beyond(events))
-    for event in events:
-        editor.execute(event)
+    """Fresh editor with the events executed in order (deterministic clock);
+    raises the first refusal."""
+    editor, refused = _loaded(list(events), domain, strategy)
+    if refused:
+        raise next(iter(refused.values()))
     return editor
 
 
@@ -157,11 +157,14 @@ def check_commutative(
 ) -> CommuteReport:
     """Load the sequence in order, in reverse, and in seeded random
     permutations; pass iff every variant yields the same model and store
-    and refuses the same events as the given order."""
+    and refuses the same events as the given order.  An event every order
+    refuses is bad input: its refusal in the given order is raised, as
+    :func:`replay` raises it."""
     events = stamp_events(events)
     if any(not e.id for e in events):
         raise MissingIdError("check_commutative needs events with explicit ids")
     base, refused = _loaded(events, domain, strategy)
+    everywhere = dict(refused)  # refused by the given order and every variant so far
     report = CommuteReport(passed=True)
     for label, ordered in _variants(events, trials, seed):
         other, other_refused = _loaded(ordered, domain, strategy)
@@ -170,25 +173,29 @@ def check_commutative(
             diffs.append("active command stores differ")
         for event in events:
             if (event in refused) != (event in other_refused):
-                where, failure = ("the given", refused[event]) if event in refused else ("this", other_refused[event])
-                diffs.append(f"refused only in {where} order: {failure}")
+                where, exc = ("the given", refused[event]) if event in refused else ("this", other_refused[event])
+                diffs.append(f"refused only in {where} order: {event.type_tag} {event.id!r}: {exc}")
+        everywhere = {event: exc for event, exc in everywhere.items() if event in other_refused}
         del other  # the base and one variant at a time
         report.entries.append((label, diffs))
         if diffs:
             report.passed = False
+    if everywhere:
+        raise next(iter(everywhere.values()))
     return report
 
 
-def _loaded(events: list[Event], domain: Domain, strategy: OverwriteStrategy) -> tuple[Editor, dict[Event, str]]:
-    """A fresh editor that loaded the events in order, sharing every event
-    type, and the failure of each event it refused."""
-    editor = Editor(domain, strategy=strategy, clock=_clock_beyond(events), sync_filter=frozenset())
+def _loaded(events: list[Event], domain: Domain, strategy: OverwriteStrategy) -> tuple[Editor, dict[Event, CesError]]:
+    """A fresh editor that executed the events in order, and the error of
+    each event it refused, without the traceback that would keep the
+    editor alive."""
+    editor = Editor(domain, strategy=strategy, clock=_clock_beyond(events))
     refused = {}
     for event in events:
         try:
-            editor.load([event])
-        except LoadError as exc:
-            refused[event] = exc.failures[0]
+            editor.execute(event)
+        except CesError as exc:
+            refused[event] = exc.with_traceback(None)
     return editor, refused
 
 

@@ -282,6 +282,19 @@ def test_check_commute_counts_an_order_refusing_other_events_as_not_commutative(
     assert "  refused only in this order: HaveSubUnit 'p': id 'p.Doc' is a Folder, requested DocFile\n" in out
 
 
+def test_check_commute_exits_two_on_an_event_every_order_refuses(capsys, tmp_path):
+    # No javapackages handler runs HaveContent, so every order refuses both
+    # events, and the first refusal is the error replay gives.
+    path = tmp_path / "contents.ces"
+    path.write_text(
+        encode([Event("HaveContent", id="a.Doc"), Event("HaveContent", id="b.Doc")]), encoding="utf-8"
+    )
+    argv = ["--domain", "javapackages", "--in", str(path)]
+    replayed = run_cli(capsys, "replay", *argv)
+    assert replayed[0] == 2
+    assert run_cli(capsys, "check-commute", *argv, "--trials", "2") == replayed
+
+
 # -- simulate ---------------------------------------------------------------------------
 
 
@@ -391,6 +404,8 @@ def test_format_errors_exit_two(capsys, tmp_path):
         ("replay", None),  # a directory
         ("replay", b"\xff- command: HaveRoot\n"),  # not UTF-8
         ("check-commute", b"- command: HaveRoot\n  time: 2020-01-01T00:00:00.000Z\n"),  # no id
+        ("check-commute", b"- command: HaveRoot\n  id: org\n  time: zzz\n"),
+        ("check-commute", b"- command: NoSuchCommand\n  id: org\n"),
         ("simulate", b'editor a javapackages\nsubmit a HaveRoot "x\n'),  # unterminated quote
         ("simulate", b"editor a javapackages\nsubmit a Have@Root x\n"),
         ("simulate", b"editor a javapackages\nsubmit a HaveRoot x id=3\n"),

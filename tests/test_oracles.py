@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import weakref
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ces import Editor, Event, JAVA_DOC, JAVA_PACKAGES, OverwriteStrategy, model_equal, oracles
 from ces.editor import CommandError, CommandHandler, Domain
+from ces.events import CesError
 from ces.objects import Association, AssociationSchema
 from ces.oracles import (
     ActiveSetError,
@@ -206,6 +208,17 @@ def test_an_event_refused_in_one_order_only_is_a_divergence_even_when_the_models
     assert report.entries == [("reverse", [f"refused only in the given order: {failure}"])]
 
 
+def test_check_commutative_raises_an_event_every_order_refuses():
+    # A malformed time and a command no handler knows are refused whatever
+    # the order; replay raises each.
+    for bad in (Event("HaveRoot", id="b", time="zzz"), Event("NoSuchCommand", id="b", time=T[1])):
+        events = [Event("HaveRoot", id="a", time=T[0]), bad]
+        with pytest.raises(CesError) as replayed:
+            replay(events, JAVA_PACKAGES)
+        with pytest.raises(type(replayed.value), match=re.escape(str(replayed.value))):
+            check_commutative(events, JAVA_PACKAGES, trials=2)
+
+
 def test_large_generated_sequence_is_commutative():
     events = random_command_sequence(100, seed=7)
     report = check_commutative(events, JAVA_PACKAGES, trials=20, seed=7)
@@ -215,16 +228,15 @@ def test_large_generated_sequence_is_commutative():
 
 @pytest.fixture
 def alive_models(monkeypatch):
-    """For each replay or load an oracle starts, the indices of the models
-    it built before (replays, loads and clones, in order) that are still
-    alive."""
+    """For each order an oracle loads, the indices of the models it built
+    before (loads and clones, in order) that are still alive."""
     built, alive = [], []
 
     def recording(build):
         def recorded(*args, **kwargs):
             alive.append([index for index, ref in enumerate(built) if ref() is not None])
             result = build(*args, **kwargs)
-            built.append(weakref.ref(result if isinstance(result, Editor) else result[0]))
+            built.append(weakref.ref(result[0]))
             return result
 
         return recorded
@@ -236,7 +248,6 @@ def alive_models(monkeypatch):
         built.append(weakref.ref(twin))
         return twin
 
-    monkeypatch.setattr(oracles, "replay", recording(replay))
     monkeypatch.setattr(oracles, "_loaded", recording(oracles._loaded))
     monkeypatch.setattr(Editor, "clone", recording_clone)
     return alive
@@ -248,11 +259,22 @@ def test_check_commutative_holds_the_base_and_one_variant(alive_models):
     assert alive_models == [[]] + [[0]] * 5  # reverse + 4 permutations, the base alone alive
 
 
+def test_check_commutative_holds_the_base_and_one_variant_when_orders_refuse_events(alive_models):
+    events = [
+        Event("HaveRoot", id="r", time=T[0]),
+        Event("HaveSubUnit", id="p", time=T[1], params={"parent": "r"}),
+        Event("HaveSubUnit", id="p.Doc", time=T[2], params={"parent": "r"}),
+    ]
+    report = check_commutative(events, JAVA_DOC, trials=4, seed=3)
+    assert not report.passed
+    assert alive_models == [[]] + [[0]] * 5  # a kept refusal holds no variant
+
+
 def test_check_ces_model_holds_one_model_at_a_time(alive_models):
     editor = replay(start_events(), JAVA_PACKAGES)
     sequences = [random_command_sequence(20, seed) for seed in range(4)]
     assert check_ces_model(editor, sequences=sequences).passed
-    assert alive_models == [[]] * 4  # neither the parse clone nor an earlier replay
+    assert alive_models == [[]] + [[0]] * 4  # the editor alone: neither the parse clone nor an earlier replay
 
 
 def test_check_commutative_requires_ids():
