@@ -182,9 +182,43 @@ MUTANTS = (
     Mutant(
         "the block regex takes a reserved key as a param",
         "src/ces/events.py",
-        "(?!(?:{'|'.join(RESERVED_KEYS)}): )",
-        "",
+        "_PARAM_LINE = rf\"  (?!(?:{'|'.join(RESERVED_KEYS)}): )",
+        "_PARAM_LINE = rf\"  ",
         ("tests/test_events.py::test_decode_rejects_duplicate_key",),
+    ),
+    Mutant(
+        "decode takes a key repeated across the inline pair",
+        "src/ces/events.py",
+        "            if len(params) == count:\n",
+        "            if True:\n",
+        ("tests/test_events.py::test_decode_rejects_duplicate_key",),
+    ),
+    Mutant(
+        "the tie-break orders tags the other way",
+        "src/ces/events.py",
+        "        return old_event.type_tag < new_event.type_tag\n",
+        "        return old_event.type_tag > new_event.type_tag\n",
+        (
+            "tests/test_events.py::test_an_equal_time_tie_is_broken_by_the_encoded_bytes",
+            "tests/test_editor.py::test_an_equal_time_rival_of_another_tag_is_decided_by_the_tag_alone",
+        ),
+    ),
+    Mutant(
+        "the tie-break ignores the tag and compares param lines only",
+        "src/ces/events.py",
+        "    if new_event.type_tag != old_event.type_tag:\n        return old_event.type_tag < new_event.type_tag\n",
+        "",
+        (
+            "tests/test_events.py::test_an_equal_time_tie_is_broken_by_the_encoded_bytes",
+            "tests/test_editor.py::test_an_equal_time_rival_of_another_tag_is_decided_by_the_tag_alone",
+        ),
+    ),
+    Mutant(
+        "a stored key skips the time check",
+        "src/ces/editor.py",
+        "(old is None or time != old.time) and ",
+        "old is None and ",
+        ("tests/test_editor.py::test_malformed_time_is_rejected_before_anything_changes",),
     ),
     Mutant(
         "decode swaps the unterminated and bad escape errors",

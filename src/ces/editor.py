@@ -159,30 +159,33 @@ class Editor:
         and the params, which the copy takes unchanged from an event that
         passed them when it was made or decoded.  A supplied time not of
         the form YYYY-MM-DDTHH:MM:SS.mmmZ raises :class:`CommandError`
-        before anything changes, and so does an event that is not ignored
-        but holds, in its id or a param value, a C0 control other than tab,
+        before anything changes, whether the event would win or lose; every
+        stored time has that form, so a time equal to the stored event's
+        for the id is not matched again.  An event that is not ignored but
+        holds, in its id or a param value, a C0 control other than tab,
         newline and carriage return, which :func:`encode` could not write,
-        or a lone surrogate (U+D800-U+DFFF), which no UTF-8 text can hold.
-        Returns the stored event when applied, None when the event was
-        ignored.
+        or a lone surrogate (U+D800-U+DFFF), which no UTF-8 text can hold,
+        raises :class:`CommandError` before anything changes too.  Returns
+        the stored event when applied, None when the event was ignored.
         """
         handler = self.handlers.get(event.type_tag)
         if handler is None:
             raise UnknownCommandError(f"no handler for command {event.type_tag!r}")
-        if event.time and not TIMESTAMP_RE.fullmatch(event.time):
-            raise CommandError(f"time {event.time!r} is not of the form YYYY-MM-DDTHH:MM:SS.mmmZ")
-        event_id = event.id
-        if not event_id:
-            event_id = f"obj{len(self.active_commands)}"
-            if (handler.store_scope, event_id) in self.active_commands:
-                raise IdCollisionError(
-                    f"auto id {event_id!r} collides with an existing command id"
-                )
-        time = event.time or self.clock.now()
-        if event_id != event.id or time != event.time:
-            event = _event(event.type_tag, event_id, time, event.params)
+        event_id = event.id or f"obj{len(self.active_commands)}"
         key = (handler.store_scope, event_id)
         old = self.active_commands.get(key)
+        time = event.time
+        # Every stored time passed this check or came from Clock.now, which
+        # writes only canonical stamps; so a time equal to the stored one
+        # for the id has the form already, and only another is matched.
+        if time and (old is None or time != old.time) and not TIMESTAMP_RE.fullmatch(time):
+            raise CommandError(f"time {time!r} is not of the form YYYY-MM-DDTHH:MM:SS.mmmZ")
+        if old is not None and not event.id:
+            raise IdCollisionError(f"auto id {event_id!r} collides with an existing command id")
+        if not time:
+            time = self.clock.now()
+        if event_id != event.id or time != event.time:
+            event = _event(event.type_tag, event_id, time, event.params)
         if old is not None and not overwrites(event, old, self.strategy):
             return None
         refused = _REFUSED.search

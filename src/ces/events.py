@@ -37,7 +37,7 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Event:
     """A serializable command record; the unit of exchange and storage.
 
@@ -65,6 +65,18 @@ class Event:
             if not isinstance(value, str):
                 raise ValueError(f"param {key!r} must be a string, got {value!r}")
         object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        # Field by field, building no tuples; the time first, as it tells
+        # apart most events that share an id.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.time == other.time
+            and self.id == other.id
+            and self.type_tag == other.type_tag
+            and self.params == other.params
+        )
 
     def __hash__(self):
         return hash((self.type_tag, self.id, self.time, frozenset(self.params.items())))
@@ -203,7 +215,14 @@ def overwrites(
     higher vTag first (highest-version-wins only), then the later time (the
     earlier one under first-edit-wins), then the larger serialized event.  A
     duplicate delivery (``new_event == old_event``, so identical bytes) is
-    answered False by an equality check before any of that, without encoding.
+    answered False by an equality check before any of that.
+
+    Neither event is encoded.  Sharing an id and a time, the two encodings
+    first differ in the tag line when the tags differ, and since a tag is a
+    ``_KEY_RE`` word, each of whose characters sorts above the line break,
+    the tags alone give that order.  With equal tags they differ only in
+    the param lines, which :func:`_param_lines` writes as :func:`encode`
+    does.
     """
     if new_event.id != old_event.id:
         raise ValueError(
@@ -219,7 +238,9 @@ def overwrites(
             return rank > 0
     if new_event.time != old_event.time:
         return (new_event.time > old_event.time) != (strategy == OverwriteStrategy.FIRST_EDIT_WINS)
-    return encode([old_event]) < encode([new_event])
+    if new_event.type_tag != old_event.type_tag:
+        return old_event.type_tag < new_event.type_tag
+    return _param_lines(old_event) < _param_lines(new_event)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +290,27 @@ def _quoted(value: str) -> str:
     return '"' + _ESCAPED.sub(lambda m: _ESCAPES[m.group()], value) + '"'
 
 
+def _param_lines(event: Event) -> str:
+    """The param lines of the event's block, as :func:`encode` writes them."""
+    params = event.params
+    lines = ""
+    for key in sorted(params):
+        lines += f"  {key}: {_scalar(params[key])}\n"
+    return lines
+
+
 def encode(events: Iterable[Event]) -> str:
     """Serialize events to the deterministic text format."""
     blocks = []
     for event in events:
-        lines = [f"- command: {_scalar(event.type_tag)}"]
+        block = f"- command: {event.type_tag}\n"  # a _KEY_RE word: plain
         if event.id:
-            lines.append(f"  id: {_scalar(event.id)}")
+            block += f"  id: {_scalar(event.id)}\n"
         if event.time:
-            lines.append(f"  time: {_scalar(event.time)}")
-        for key in sorted(event.params):
-            lines.append(f"  {key}: {_scalar(event.params[key])}")
-        blocks.append("\n".join(lines) + "\n")
+            block += f"  time: {_scalar(event.time)}\n"
+        if event.params:
+            block += _param_lines(event)
+        blocks.append(block)
     return "".join(blocks)
 
 
@@ -418,20 +448,23 @@ def _scan(text: str, start: int, lineno: int, events: list[Event]) -> int:
 
 
 # A block exactly as encode writes it with every value plain, followed by
-# the next block or the end of the text: one match decodes it, and
-# _PARAM_RE's findall over its fourth group yields its params.  The param
-# repeat takes only lines that start with two spaces, so it never reads into
-# the next block, and each repeat stops at a fixed delimiter: a failed match
+# the next block or the end of the text: one match decodes it.  Its first
+# two param lines have groups of their own, and any further ones are the
+# eighth group, which _PARAM_RE's findall splits.  One param-line fragment,
+# which refuses a reserved key, serves all three.  The param repeat takes
+# only lines that start with two spaces, so it never reads into the next
+# block, and each repeat stops at a fixed delimiter: a failed match
 # backtracks over its own block only, in linear time.
 _PLAIN = f"[^{_QUOTED}]+"
+_PARAM_LINE = rf"  (?!(?:{'|'.join(RESERVED_KEYS)}): )({_KEY_RE.pattern}): ({_PLAIN})\n"
 _BLOCK_RE = re.compile(
     rf"- command: ({_KEY_RE.pattern})\n"
     rf"(?:  id: ({_PLAIN})\n)?"
     rf"(?:  time: ({_PLAIN})\n)?"
-    rf"((?:  (?!(?:{'|'.join(RESERVED_KEYS)}): ){_KEY_RE.pattern}: {_PLAIN}\n)*)"
+    rf"(?:{_PARAM_LINE}(?:{_PARAM_LINE}((?:{_PARAM_LINE})*))?)?"
     r"(?=- |\Z)"
 )
-_PARAM_RE = re.compile(rf"  ({_KEY_RE.pattern}): ({_PLAIN})\n")
+_PARAM_RE = re.compile(_PARAM_LINE)
 _LINE_END_CRS = re.compile(r"(?<!\r)\r+$", re.MULTILINE)  # tried once per CR run
 
 
@@ -445,10 +478,12 @@ def decode(text: str) -> list[Event]:
     duplicate keys raise :class:`DecodeError` naming the offending line.
 
     A block exactly as :func:`encode` writes it, with every value plain, is
-    decoded by one match of a block regex.  Any other block (a quoted value,
-    a blank line, ``id`` or ``time`` after a param, a duplicate or reserved
-    key, no final line break, a malformed line) goes to the line scanner,
-    which finishes every block it opens and hands the text back at the next
+    decoded by one match of a block regex, which takes its first two param
+    lines apart itself; only a block with more params also runs a
+    ``findall`` over the rest.  Any other block (a quoted value, a blank
+    line, ``id`` or ``time`` after a param, a duplicate or reserved key, no
+    final line break, a malformed line) goes to the line scanner, which
+    finishes every block it opens and hands the text back at the next
     ``"- "`` line that follows a valid type tag.
     """
     if "\r" in text and "\r" in (text := text.replace("\r\n", "\n")):  # sweep alone: 1.8x on CRLF
@@ -463,12 +498,21 @@ def decode(text: str) -> list[Event]:
     while pos < size:
         block = block_at(text, pos)
         if block is not None:
-            tag, event_id, stamp, lines = block.groups()
-            pairs = params_in(lines)
+            tag, event_id, stamp, key, value, key2, value2, more, _, _ = block.groups()
             params = {}
-            for key, value in pairs:
+            count = 0  # param lines; a key repeated among them makes fewer params
+            if key is not None:
                 params[shared(key) or _shared(key)] = shared(value) or _shared(value)
-            if len(params) == len(pairs):
+                count = 1
+                if key2 is not None:
+                    params[shared(key2) or _shared(key2)] = shared(value2) or _shared(value2)
+                    count = 2
+                    if more:
+                        pairs = params_in(more)
+                        for key, value in pairs:
+                            params[shared(key) or _shared(key)] = shared(value) or _shared(value)
+                        count += len(pairs)
+            if len(params) == count:
                 tag = shared(tag) or _shared(tag)
                 events.append(_event(tag, event_id or "", stamp or "", params))
                 pos = block.end()

@@ -25,7 +25,16 @@ from ces.editor import (
     IdCollisionError,
     RemoveCommandHandler,
 )
-from ces.events import DecodeError, OverwriteStrategy, stepping_clock
+from ces.events import (
+    BASE_TIME,
+    LAST_TIME,
+    TIMESTAMP_RE,
+    Clock,
+    DecodeError,
+    OverwriteStrategy,
+    encode,
+    stepping_clock,
+)
 from ces.javadoc import FOLDERS
 from ces.javapackages import PACKAGES
 from ces.objects import (
@@ -190,34 +199,123 @@ def test_load_of_a_stored_events_own_text_encodes_nothing(monkeypatch, packages_
     assert packages_editor.load_events(text) == 0
 
 
-def test_malformed_time_is_rejected_before_anything_changes(packages_editor):
-    store = dict(packages_editor.active_commands)
-    dump = dump_model(packages_editor.registry)
+_MALFORMED_TIMES = (
+    "zzz",  # sorts above every stamp
+    " 2020-01-01T13:03:00.000Z",  # sorts below every stamp
+    "2020-01-01T13:03:00.000Z\n",
+    "2020-01-01T13:03:00Z",
+    "2020-01-01 13:03:00.000Z",
+    "2020-01-01T13:03:00.000",
+    # the right form, a field out of range
+    "2020-99-99T99:99:99.999Z",
+    "2020-00-01T00:00:00.000Z",
+    "2020-13-01T00:00:00.000Z",
+    "2020-01-00T00:00:00.000Z",
+    "2020-01-32T00:00:00.000Z",
+    "2020-01-01T24:00:00.000Z",
+    "2020-01-01T00:60:00.000Z",
+    "2020-01-01T00:00:60.000Z",
+)
+# The first and the last stamp there are, so that every malformed time
+# above sorts above one and below the other, or above or below both.
+_FIRST_TIME = "0000-01-01T00:00:00.000Z"
+
+
+@pytest.mark.parametrize("strategy", list(OverwriteStrategy))
+def test_malformed_time_is_rejected_before_anything_changes(strategy):
+    def editor_with_editor_at(time):
+        editor = Editor(JAVA_PACKAGES, strategy=strategy)
+        for event in start_events()[:3]:
+            editor.execute(event)
+        editor.execute(Event("HaveLeaf", id="Editor", time=time, params={"parent": "serv", "vTag": "1.0"}))
+        return editor
+
+    editor = editor_with_editor_at("2020-01-01T13:03:00.000Z")
+    store = dict(editor.active_commands)
+    dump = dump_model(editor.registry)
     poison = "- command: HaveLeaf\n  id: Editor\n  time: zzz\n  parent: serv\n  vTag: 9.9\n"
     with pytest.raises(LoadError) as err:
-        packages_editor.load_events(poison)
+        editor.load_events(poison)
     assert err.value.applied == 0
     assert "'zzz'" in err.value.failures[0]
-    assert packages_editor.active_commands == store
-    assert dump_model(packages_editor.registry) == dump
-    for time in (
-        "2020-01-01T13:03:00Z",
-        "2020-01-01 13:03:00.000Z",
-        "2020-01-01T13:03:00.000",
-        # the right form, a field out of range
-        "2020-99-99T99:99:99.999Z",
-        "2020-00-01T00:00:00.000Z",
-        "2020-13-01T00:00:00.000Z",
-        "2020-01-00T00:00:00.000Z",
-        "2020-01-32T00:00:00.000Z",
-        "2020-01-01T24:00:00.000Z",
-        "2020-01-01T00:60:00.000Z",
-        "2020-01-01T00:00:60.000Z",
-    ):
+    assert editor.active_commands == store
+    assert dump_model(editor.registry) == dump
+    for time in _MALFORMED_TIMES:
         with pytest.raises(CommandError):
-            packages_editor.execute(Event("HaveRoot", id="fresh", time=time))
-    assert "fresh" not in packages_editor.registry.frames
-    assert packages_editor.active_commands == store
+            editor.execute(Event("HaveRoot", id="fresh", time=time))
+    assert "fresh" not in editor.registry.frames
+    assert editor.active_commands == store
+    # Against a stored event for the id, whose time sorts above or below
+    # the malformed one, and with a vTag that would win or lose: a time is
+    # matched whenever it is not the stored event's.
+    for stored_time in (_FIRST_TIME, LAST_TIME):
+        editor = editor_with_editor_at(stored_time)
+        store = dict(editor.active_commands)
+        dump = dump_model(editor.registry)
+        for time in _MALFORMED_TIMES:
+            for vtag in ("0.1", "9.9"):
+                rival = Event("HaveLeaf", id="Editor", time=time, params={"parent": "serv", "vTag": vtag})
+                with pytest.raises(CommandError, match="is not of the form"):
+                    editor.execute(rival)
+        assert editor.active_commands == store
+        assert dump_model(editor.registry) == dump
+
+
+@pytest.mark.parametrize("strategy", list(OverwriteStrategy))
+def test_an_event_with_the_stored_time_but_other_params_is_decided_by_the_tie_break(
+    strategy, packages_editor
+):
+    packages_editor.strategy = strategy
+    old = packages_editor.get_active("Editor")
+    # "  parent: ser\n" < "  parent: serv\n" < "  parent: serv2\n", byte by byte
+    for parent, wins in (("ser", False), ("serv2", True)):
+        editor = packages_editor.clone()
+        rival = Event("HaveLeaf", id="Editor", time=old.time, params={"parent": parent, "vTag": "1.0"})
+        assert (encode([old]) < encode([rival])) is wins
+        assert (editor.execute(rival) is not None) is wins
+        assert editor.get_active("Editor") == (rival if wins else old)
+        assert editor.registry.model_objects["Editor"].to_one["pack"] == (parent if wins else "serv")
+
+
+@pytest.mark.parametrize("strategy", list(OverwriteStrategy))
+def test_an_equal_time_rival_of_another_tag_is_decided_by_the_tag_alone(strategy, packages_editor):
+    # A control character in a rival's value is refused when the rival
+    # wins, and no concern when it loses, as for a stale rival: the tie-break
+    # never writes the rival's params, as encode would refuse to.
+    editor = packages_editor
+    editor.strategy = strategy
+    store = dict(editor.active_commands)
+    dump = dump_model(editor.registry)
+    serv, leaf = editor.get_active("serv"), editor.get_active("Editor")
+    assert "HaveLeaf" < serv.type_tag and leaf.type_tag < "HaveSubUnit"
+    loser = Event("HaveLeaf", id="serv", time=serv.time, params={"parent": "fu\x01lib"})
+    assert editor.execute(loser) is None
+    winner = Event("HaveSubUnit", id="Editor", time=leaf.time, params={"parent": "se\x01rv", "vTag": "1.0"})
+    with pytest.raises(CommandError, match="unsupported control character"):
+        editor.execute(winner)
+    assert editor.active_commands == store
+    assert dump_model(editor.registry) == dump
+
+
+def test_every_stored_time_has_the_form_after_stamping_parse_and_clone():
+    # What Editor.execute relies on to skip matching a time equal to the
+    # stored event's: no way into the store takes a time of another form.
+    for clock in (Clock(), stepping_clock(BASE_TIME), stepping_clock("9999-12-31T23:59:58.000Z")):
+        editor = Editor(JAVA_PACKAGES, clock=clock)
+        editor.execute(Event("HaveRoot", id="org"))
+        editor.execute(Event("HaveSubUnit", params={"parent": "org"}))
+        editor.execute(Event("HaveLeaf", id="Editor", params={"parent": "obj1", "vTag": "1.0"}))
+        editor.execute(Event("HaveSubUnit", id="lib", time=T[0], params={"parent": "org"}))
+        registry = editor.registry
+        registry.clear_changes()
+        registry.set_attribute(registry.find("Editor"), "vTag", "1.1")
+        registry.set_link(ModelObject("JavaClass", "Command"), "pack", registry.find("org"))
+        assert editor.parse(registry.changed_objects()) == 2
+        twin = editor.clone()
+        twin.execute(Event("RemoveCommand", id="org"))
+        for replica in (editor, twin):
+            times = [event.time for event in replica.active_commands.values()]
+            assert len(times) == len(replica.active_commands) and all(map(TIMESTAMP_RE.fullmatch, times))
 
 
 def test_a_control_character_encode_refuses_is_refused_before_the_handler_runs(packages_editor):

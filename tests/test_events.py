@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ces import events as events_module
 from ces.events import (
@@ -195,6 +195,42 @@ def test_overwrites_is_a_strict_total_tiebroken_order(vtag_a, vtag_b, time_a, ti
     assert overwrites(a, a, strategy) is False
 
 
+# Rivals sharing an id and a time: tags one of which is a prefix of another,
+# keys one of which is a prefix of another or sorts between it and its
+# extension, and values empty, quoted, escaped or not ASCII, among them
+# vTags of equal rank but other bytes ("1.0", "1.00", "01.0").
+def _rival(tag, params=None):
+    return Event(tag, id="Editor", time=T0, params=params or {})
+
+
+_rival_value = st.sampled_from(["", "x", "xy", "a b", '"q"', "back\\slash", "t\tn\nr\r", "é", "ü…", "1.0"])
+_rivals = st.builds(
+    _rival,
+    st.sampled_from(["Have", "HaveLeaf", "HaveLeaf2", "Hav"]),
+    st.dictionaries(
+        st.sampled_from(["a", "a-", "a.b", "vTag"]),
+        st.one_of(_rival_value, st.sampled_from(["1.0", "1.00", "01.0", "1.1", "2"])),
+        max_size=3,
+    ),
+)
+
+
+# The tags decide against the param lines, both ways; then the param lines.
+@example(_rival("Have", {"a": "y"}), _rival("HaveLeaf", {"a": "x"}))
+@example(_rival("HaveLeaf"), _rival("Have", {"a": "x"}))
+@example(_rival("HaveLeaf", {"a-": "x"}), _rival("HaveLeaf", {"a": "x"}))
+@example(_rival("HaveLeaf", {"vTag": "1.0"}), _rival("HaveLeaf", {"vTag": "1.00"}))
+@given(_rivals, _rivals)
+def test_an_equal_time_tie_is_broken_by_the_encoded_bytes(new, old):
+    for strategy in OverwriteStrategy:
+        if strategy == OverwriteStrategy.HIGHEST_VERSION_WINS:
+            rank = compare_versions(new.params.get("vTag", ""), old.params.get("vTag", ""))
+            if rank != 0:
+                assert overwrites(new, old, strategy) is (rank > 0)
+                continue
+        assert overwrites(new, old, strategy) is (encode([old]) < encode([new]))
+
+
 def test_compare_versions_matches_numeric_tuple_order():
     corpus = ["1", "1.0", "1.2", "1.10", "2.0.1", "2.1"]
     for a in corpus:
@@ -253,9 +289,22 @@ def test_encode_empty_sequence_is_empty_text():
     assert encode([]) == ""
 
 
-def test_decode_round_trips_golden_block():
-    event = Event("HaveRoot", id="org", time=T0)
-    assert decode(encode([event])) == [event]
+def _scanned(text):
+    """The events the line scanner alone decodes ``text`` to."""
+    events, pos = [], 0
+    while pos < len(text):
+        pos = events_module._scan(text, pos, text.count("\n", 0, pos) + 1, events)
+    return events
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+def test_decode_round_trips_golden_block(count):
+    event = Event("HaveRoot", id="org", time=T0, params={f"k{i}": f"v{i}" for i in range(count)})
+    text = encode([event])
+    with mock.patch.object(events_module, "_scan", _scanner_called):
+        assert decode(text) == [event]
+    assert _scanned(text) == [event]
+    assert decode(text * 3) == _scanned(text * 3) == [event] * 3
 
 
 def test_decode_preserves_block_order_and_unknown_keys():
@@ -272,9 +321,24 @@ def test_decode_rejects_block_not_starting_with_command():
         decode("  id: org\n")
 
 
-def test_decode_rejects_duplicate_key():
-    with pytest.raises(DecodeError, match="line 3"):
-        decode("- command: HaveRoot\n  id: a\n  id: b\n")
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        (["  id: a", "  id: b"], 3),
+        (["  p: 1", "  p: 2"], 3),  # within the pair of param lines the block regex reads itself
+        (["  id: a", "  time: " + T0, "  p: 1", "  p: 2"], 5),
+        (["  p: 1", "  q: 2", "  p: 3"], 4),  # between that pair and the lines after it
+        (["  p: 1", "  q: 2", "  r: 3", "  s: 4", "  r: 5"], 6),  # among the lines after it
+        (["  p: 1", "  q: 2", "  command: X"], 4),
+    ],
+)
+def test_decode_rejects_duplicate_key(lines, line):
+    text = "- command: HaveRoot\n" + "".join(entry + "\n" for entry in lines)
+    key = lines[-1].split(":")[0].strip()
+    expected = ("DecodeError", f"line {line}: duplicate key {key!r} in event block", line)
+    assert _outcome(decode, text) == _outcome(_scanned, text) == expected
+    after = encode([leaf(T0, "1.0")])
+    assert _outcome(decode, after + text + after) == _outcome(_scanned, after + text + after)
 
 
 def test_decode_rejects_malformed_lines_with_line_number():
@@ -371,6 +435,27 @@ def test_serialization_is_deterministic_across_param_insertion_order(event):
     )
     assert encode([event]) == encode([reordered])
     assert event == reordered and hash(event) == hash(reordered)
+
+
+def test_events_are_equal_exactly_when_every_field_is():
+    event = leaf(T0, "1.0")
+    assert event == leaf(T0, "1.0") and not event != leaf(T0, "1.0")
+    others = [
+        leaf(T1, "1.0"),
+        leaf(T0, "1.1"),
+        Event("HaveLeaf", id="Other", time=T0, params=event.params),
+        Event("HaveRoot", id="Editor", time=T0, params=event.params),
+    ]
+    for other in others:
+        assert event != other and other != event
+
+    class Subclass(Event):
+        pass
+
+    twin = Subclass(event.type_tag, event.id, event.time, event.params)
+    for other in (twin, (event.type_tag, event.id, event.time, event.params)):
+        assert event.__eq__(other) is NotImplemented
+    assert event != (event.type_tag, event.id, event.time, event.params)
 
 
 # -- differential checks against the previous codec ---------------------------------
